@@ -18,6 +18,7 @@ from swiptrelay.engine import (
     SimConfig,
     SlotOutcome,
     replay_check,
+    run_batch,
     run_trial,
     slots_for_messages,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "mrs_preselect",
     "optimize_m",
     "replay_check",
+    "run_batch",
     "run_trial",
     "slots_for_messages",
     "srs_select",

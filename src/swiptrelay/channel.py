@@ -67,7 +67,10 @@ def draw_gain(rng: np.random.Generator, size: int | None = None):
     """
     if size is None:
         return -math.log1p(-rng.random())
-    return -np.log1p(-rng.random(size))
+    # in place: one buffer per block rather than a temporary per operation
+    gains = rng.random(size)
+    np.log1p(np.negative(gains, out=gains), out=gains)
+    return np.negative(gains, out=gains)
 
 
 def link_rate(gain_sq: float, budget: LinkBudget) -> float:
@@ -94,6 +97,11 @@ def min_gain_for_rate(target_rate: float, budget: LinkBudget) -> float:
     )
 
 
+def inversion_numerator(target_rate: float, noise_var: float, distance: float) -> float:
+    """Power times gain that meets target_rate: inversion_power = this / gain."""
+    return (2.0 ** (2.0 * target_rate) - 1.0) * noise_var * distance**PATH_LOSS_EXP
+
+
 def inversion_power(
     target_rate: float, gain_sq: float, noise_var: float, distance: float
 ) -> float:
@@ -106,4 +114,4 @@ def inversion_power(
         return 0.0
     if gain_sq == 0:
         return math.inf
-    return (2.0 ** (2.0 * target_rate) - 1.0) * noise_var * distance**PATH_LOSS_EXP / gain_sq
+    return inversion_numerator(target_rate, noise_var, distance) / gain_sq

@@ -6,10 +6,17 @@ default) the derived seed ignores the rate and pre-selection-size axes:
 every point along those axes then sees the identical channel-gain field,
 which turns curve comparisons into paired ones and makes the expected
 monotonic trends hold sharply at finite sample sizes.
+
+A sweep runs as one job per gain field: the grid points that differ only
+in rate and pre-selection size. A job of two or more points steps them in
+lockstep (engine.run_batch); a single point runs the scalar engine. Jobs
+go to a process pool only when there are two or more of them and more
+than one worker; otherwise they run in this process.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -23,10 +30,14 @@ from swiptrelay.engine import (
     SRS,
     Outcome,
     SimConfig,
+    batch_key,
+    run_batch,
     run_trial,
     slots_for_messages,
 )
 from swiptrelay.errors import ConfigError
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,10 @@ def estimate_outage(
         raise ConfigError("config yields no post-warmup messages")
     outcomes = run_trial(config, trace_path=trace_path)
     outages = sum(1 for o in outcomes if o.result is not Outcome.SUCCESS)
+    return _summarize(outages, messages, z)
+
+
+def _summarize(outages: int, messages: int, z: float) -> OutageEstimate:
     p_hat = outages / messages
     halfwidth = z * math.sqrt(p_hat * (1.0 - p_hat) / messages)
     return OutageEstimate(outages, messages, p_hat, halfwidth)
@@ -124,26 +139,43 @@ def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
     return configs
 
 
-def _estimate_job(args: tuple[SimConfig, float]) -> OutageEstimate:
-    config, z = args
-    return estimate_outage(config, z=z)
+def _estimate_job(args: tuple[list[SimConfig], float]) -> list[OutageEstimate]:
+    """Estimates for configs that share one gain field."""
+    configs, z = args
+    if len(configs) == 1:
+        return [estimate_outage(configs[0], z=z)]
+    estimates = []
+    for config, counts in zip(configs, run_batch(configs)):
+        outages = sum(c for outcome, c in counts.items() if outcome is not Outcome.SUCCESS)
+        estimates.append(_summarize(outages, config.message_count(), z))
+    return estimates
 
 
 def sweep(spec: SweepSpec) -> list[SweepResult]:
     """Estimate outage over the grid; result order matches grid order."""
     configs = _grid_configs(spec)
-    if spec.workers == 1:
-        estimates = [estimate_outage(cfg, z=spec.z) for cfg in configs]
-    else:
-        jobs = [(cfg, spec.z) for cfg in configs]
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(batch_key(cfg), []).append(i)
+    jobs = [([configs[i] for i in group], spec.z) for group in groups.values()]
+    if len(jobs) > 1 and spec.workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                estimates = list(pool.map(_estimate_job, jobs))
-        except (OSError, PermissionError, BrokenProcessPool):
+            with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs))) as pool:
+                per_job = list(pool.map(_estimate_job, jobs))
+        except (OSError, BrokenProcessPool) as exc:
             # sandboxed environments may forbid subprocesses; results are
             # per-config deterministic, so serial execution is equivalent
-            estimates = [estimate_outage(cfg, z=spec.z) for cfg in configs]
-    return [SweepResult(cfg, est) for cfg, est in zip(configs, estimates)]
+            _log.warning(
+                "process pool failed (%s: %s); running %d jobs serially",
+                type(exc).__name__, exc, len(jobs),
+            )
+            per_job = [_estimate_job(job) for job in jobs]
+    else:
+        per_job = [_estimate_job(job) for job in jobs]
+    estimates = {}
+    for group, job_estimates in zip(groups.values(), per_job):
+        estimates.update(zip(group, job_estimates))
+    return [SweepResult(cfg, estimates[i]) for i, cfg in enumerate(configs)]
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,24 @@ def test_m_with_srs_names_the_key(capsys):
     assert "m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag,value,key",
+    [
+        ("--sigma2", "nan", "noise_var"),
+        ("--initial-energy", "inf", "initial_energy"),
+        ("--distance", "nan", "distance"),
+        ("--sense-threshold", "nan", "sense_threshold"),
+        ("--slot-duration", "inf", "slot_duration"),
+    ],
+)
+def test_non_finite_value_names_the_key(tmp_path, capsys, flag, value, key):
+    out = tmp_path / "r.csv"
+    assert run_cli("run", flag, value, "--messages", "10", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not out.exists()
+
+
 def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     def boom(*a, **kw):
         raise InvariantError("engine corrupted")
@@ -262,6 +280,25 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("crn", [True, False])
+def test_sweep_over_several_gain_fields_is_worker_independent(tmp_path, crn):
+    # four (n, eta) gain fields: the pool path, batched with crn and one
+    # scalar job per point without it
+    outs = []
+    for w in ("1", "2"):
+        out = tmp_path / f"w{w}.csv"
+        rc = run_cli("sweep", "--policy", "mrs", "--m", "1", "--ns", "3,5",
+                     "--etas", "0.05,0.5", "--rates", "0.5,1.5", "--ms", "1,2",
+                     "--messages", "150", "--seed", "9", "--workers", w,
+                     *([] if crn else ["--no-crn"]), "--out", str(out))
+        assert rc == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    rows = read_rows(tmp_path / "w1.csv")
+    assert len(rows) == 16
+    assert len({r["seed"] for r in rows}) == (4 if crn else 16)
+
+
 def test_opt_m_reports_m_star(tmp_path, capsys):
     out = tmp_path / "o.json"
     rc = run_cli("opt-m", "--n", "4", "--eta", "0.1", "--messages", "300",
@@ -325,3 +362,15 @@ def test_replay_tampered_trace_exits_1(tmp_path, capsys):
     trace.write_text("\n".join(lines) + "\n")
     assert run_cli("replay", str(trace)) == 1
     assert "slot" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line", ["not json", '{"slot": 2, "g_ld": [1.0]}'])
+def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
+    trace = tmp_path / "t.jsonl"
+    run_cli("run", "--messages", "80", "--seed", "5",
+            "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    lines[3] = bad_line   # the record of slot 2
+    trace.write_text("\n".join(lines) + "\n")
+    assert run_cli("replay", str(trace)) == 1
+    assert "replay failed at slot 2: malformed record" in capsys.readouterr().err

@@ -9,15 +9,25 @@ per broadcast.
 
 import json
 import math
+from collections import Counter
+from dataclasses import fields, replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from swiptrelay import engine
+from swiptrelay.channel import draw_gain, gain_stream
 from swiptrelay.engine import (
     Outcome,
     ReplayResult,
     SimConfig,
+    _gain_blocks,
     _Trial,
     replay_check,
+    run_batch,
     run_trial,
     slots_for_messages,
 )
@@ -71,6 +81,16 @@ def mrs_cfg(**kw):
 def test_config_validation_names_offending_key(kw, key):
     with pytest.raises(ConfigError, match=key):
         SimConfig(**kw).validate()
+
+
+FLOAT_FIELDS = [f.name for f in fields(SimConfig) if "float" in str(f.type)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_config_validation_refuses_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match=key):
+        SimConfig(**{key: value}).validate()
 
 
 def test_config_derived_quantities():
@@ -405,3 +425,106 @@ def test_replay_rejects_missing_header(tmp_path):
 def test_replay_result_is_falsy_on_failure():
     assert not ReplayResult(False, 3, "x")
     assert ReplayResult(True)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: "not json",
+        lambda rec: json.dumps({k: v for k, v in rec.items() if k != "g_sl"}),
+        lambda rec: json.dumps({**rec, "g_ld": rec["g_ld"][:-1]}),
+        lambda rec: json.dumps([rec]),
+    ],
+)
+def test_replay_reports_malformed_records(tmp_path, edit):
+    path = _write_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[5] = edit(json.loads(lines[5]))   # the record of slot 4
+    path.write_text("\n".join(lines) + "\n")
+    result = replay_check(path)
+    assert not result.ok
+    assert result.divergent_slot == 4
+    assert "malformed record" in result.detail
+
+
+def test_replay_reports_malformed_header(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    for header in ("not json", "[1, 2]", '{"kind": "config"}'):
+        path.write_text(header + "\n")
+        result = replay_check(path)
+        assert not result.ok and result.detail == "missing config header"
+
+
+# -- gain blocks and the lockstep batch engine --------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 20])
+def test_block_draws_equal_per_slot_draws(n):
+    cfg = SimConfig(n_relays=n, n_slots=5000, seed=12)
+    rng = gain_stream(cfg.seed)
+    per_slot = np.array([-np.log1p(-rng.random(2 * n)) for _ in range(cfg.n_slots + 1)])
+    blocks = list(_gain_blocks(cfg))
+    assert [len(g_sl) for g_sl, _ in blocks] == [4096, 905]  # crosses a block boundary
+    drawn = np.concatenate([np.hstack(pair) for pair in blocks])
+    assert drawn.tobytes() == per_slot.tobytes()
+
+
+@st.composite
+def gain_field_groups(draw):
+    """One to six configs that share a gain field and every field but m and
+    target_rate, over both policies and schedules and the edge values."""
+    n = draw(st.integers(1, 8))
+    policy = draw(st.sampled_from(["srs", "mrs"]))
+    n_slots = draw(st.integers(1, 120))
+    base = SimConfig(
+        n_relays=n,
+        policy=policy,
+        eta=draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0])),
+        source_power_dbw=draw(st.sampled_from([0.0, 10.0, 13.0])),
+        relay_power_dbw=draw(st.sampled_from([0.0, 10.0])),
+        noise_var=draw(st.sampled_from([0.5, 1.0])),
+        distance=draw(st.sampled_from([1.0, 1.3, 2.0])),
+        slot_duration=draw(st.sampled_from([0.5, 0.7, 1.0, 2.0])),
+        initial_energy=draw(st.sampled_from([None, 0.0, 5.0, 50.0])),
+        sense_threshold=draw(st.sampled_from([0.0, 0.5])),
+        n_slots=n_slots,
+        warmup_slots=draw(st.integers(0, n_slots - 1)),
+        seed=draw(st.integers(0, 2**32)),
+        schedule=draw(st.sampled_from(["pipelined", "framed"])),
+    )
+    rate = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
+    m = st.integers(1, n) if policy == "mrs" else st.none()
+    rows = draw(st.lists(st.tuples(m, rate), min_size=1, max_size=6))
+    return [replace(base, m=row_m, target_rate=row_rate) for row_m, row_rate in rows]
+
+
+def _coarse_draw(rng, size):
+    """Gains snapped down to multiples of 0.5: zero gains and exact ties in
+    battery, cost and margin become common, where real draws almost never
+    produce them."""
+    return np.floor(draw_gain(rng, size) * 2.0) / 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    configs=gain_field_groups(),
+    block=st.sampled_from([1, 7, engine.GAIN_BLOCK]),
+    draw=st.sampled_from([draw_gain, _coarse_draw]),
+)
+def test_run_batch_counts_equal_run_trial_tallies(configs, block, draw):
+    with mock.patch.object(engine, "GAIN_BLOCK", block), mock.patch.object(
+        engine, "draw_gain", draw
+    ):
+        batch = run_batch(configs)
+        tallies = [Counter(o.result for o in run_trial(cfg)) for cfg in configs]
+    for counts, tally in zip(batch, tallies):
+        assert counts == {outcome: tally[outcome] for outcome in Outcome}
+
+
+def test_run_batch_refuses_configs_outside_one_gain_field():
+    with pytest.raises(ConfigError, match="m and target_rate"):
+        run_batch([SimConfig(seed=1), SimConfig(seed=2)])
+    with pytest.raises(ConfigError, match="m and target_rate"):
+        run_batch([SimConfig(eta=0.1), SimConfig(eta=0.2)])
+    with pytest.raises(ConfigError, match="at least one"):
+        run_batch([])

@@ -1,13 +1,16 @@
 """Estimation, sweep grids, seed derivation, M* search, policy comparison."""
 
+import logging
 import math
 from dataclasses import replace
 
 import pytest
 
+from swiptrelay import harness
 from swiptrelay.engine import Outcome, SimConfig, run_trial
 from swiptrelay.errors import ConfigError
 from swiptrelay.harness import (
+    SweepResult,
     SweepSpec,
     compare_policies,
     derive_seed,
@@ -88,6 +91,45 @@ def test_sweep_results_independent_of_worker_count():
     spec1 = _spec(rates=[0.5, 1.0, 1.5], workers=1)
     spec4 = _spec(rates=[0.5, 1.0, 1.5], workers=4)
     assert sweep(spec1) == sweep(spec4)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("policy", ["srs", "mrs"])
+def test_sweep_groups_match_scalar_estimates(policy, workers):
+    # two relay counts x two etas: four gain fields of six points each
+    base = SimConfig(policy=policy, m=1 if policy == "mrs" else None, seed=5)
+    spec = _spec(base=base, n_relays=[3, 5], etas=[0.05, 0.5], rates=[0.5, 1.0, 2.0],
+                 ms=[1, 3] if policy == "mrs" else None, workers=workers)
+    results = sweep(spec)
+    assert len(results) == (24 if policy == "mrs" else 12)
+    assert results == [SweepResult(r.config, estimate_outage(r.config)) for r in results]
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_sweep_runs_a_single_gain_field_in_process(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    base = SimConfig(policy="mrs", m=1, seed=5)
+    results = sweep(_spec(base=base, rates=[0.5, 1.0], ms=[1, 2], workers=4))
+    assert len(results) == 4
+
+
+def test_sweep_pool_failure_falls_back_serially_and_says_so(monkeypatch, caplog):
+    spec = _spec(etas=[0.1, 0.2], rates=[0.5, 1.0], workers=2)
+    expected = sweep(replace(spec, workers=1))
+
+    def refuse(*args, **kwargs):
+        raise OSError("subprocesses are forbidden here")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    with caplog.at_level(logging.WARNING, logger="swiptrelay.harness"):
+        assert sweep(spec) == expected
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "OSError" in warnings[0].getMessage()
+    assert "subprocesses are forbidden here" in warnings[0].getMessage()
 
 
 def test_sweep_ms_axis_requires_mrs():
