@@ -20,6 +20,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from swiptrelay import __version__
 from swiptrelay.engine import (
@@ -45,93 +46,102 @@ CSV_COLUMNS = (
     "schedule", "seed", "messages", "outages", "p_out", "ci_halfwidth",
 )
 
-# canonical parameter names (as they appear in config files and manifests),
-# their types, and their defaults
-_SCENARIO_DEFAULTS = {
-    "policy": SRS,
-    "n": 5,
-    "m": None,
-    "rate": 1.0,
-    "eta": 0.5,
-    "sigma2": 1.0,
-    "ps_dbw": 10.0,
-    "pr_dbw": 10.0,
-    "distance": 1.0,
-    "slot_duration": 1.0,
-    "initial_energy": None,
-    "sense_threshold": 0.0,
-    "messages": 20000,
-    "warmup": 0,
-    "seed": 0,
-    "schedule": PIPELINED,
-}
-
-_COMMAND_DEFAULTS = {
-    "run": {"z": 3.0, "format": "csv", "out": None, "trace": None},
-    "sweep": {
-        "rates": None, "etas": None, "ns": None, "ms": None,
-        "z": 3.0, "workers": 1, "crn": True, "format": "csv", "out": None,
-    },
-    "opt-m": {"ms": None, "z": 3.0, "workers": 1, "format": "csv", "out": None},
-    "compare": {
-        "rates": None, "n_points": 5,
-        "z": 3.0, "workers": 1, "format": "csv", "out": None,
-    },
-}
-
-_INT_KEYS = {"n", "m", "messages", "warmup", "seed", "workers", "n_points"}
-_FLOAT_KEYS = {
-    "rate", "eta", "sigma2", "ps_dbw", "pr_dbw", "distance",
-    "slot_duration", "initial_energy", "sense_threshold", "z",
-}
-_STR_KEYS = {"policy", "schedule", "format", "out", "trace"}
-_BOOL_KEYS = {"crn"}
-_FLOAT_LIST_KEYS = {"rates", "etas"}
-_INT_LIST_KEYS = {"ns", "ms"}
+# every subcommand that runs a scenario (all but replay)
+_ALL = ("run", "sweep", "opt-m", "compare")
 
 
-def _convert(key: str, value):
-    """Coerce a config-file or manifest value to the key's canonical type."""
+def _bool(value) -> bool:
+    text = str(value).strip().lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ValueError(value)
+
+
+def _items(elem):
+    """Parser of a comma-separated text or a JSON list into a non-empty list."""
+    def parse(value):
+        if isinstance(value, str):
+            value = [part for part in value.split(",") if part.strip()]
+        items = [elem(str(item)) for item in value]
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return parse
+
+
+class Param(NamedTuple):
+    """One parameter of the table that drives flags, config keys and rows.
+
+    The flag is --key with dashes (crn is the one inverted flag, --no-crn);
+    config files accept key dashed or not. parse takes text (or a JSON
+    list, for list keys) and returns the canonical value; a tuple of
+    strings instead names the allowed choices. A config-file null is taken
+    only when default is None. field is the SimConfig field the key sets.
+    """
+
+    key: str
+    parse: Callable | tuple
+    default: object
+    commands: tuple[str, ...]
+    field: str | None
+    help: str
+
+
+# the manifest's params are in this order; CSV_COLUMNS keeps its own
+PARAMS = (
+    Param("policy", (SRS, MRS), SRS, _ALL, "policy", "relay selection policy"),
+    Param("n", int, 5, _ALL, "n_relays", "number of relays"),
+    Param("m", int, None, _ALL, "m", "mrs pre-selection size"),
+    Param("rate", float, 1.0, _ALL, "target_rate", "target rate, bits/s/Hz"),
+    Param("eta", float, 0.5, _ALL, "eta", "harvest efficiency in [0, 1]"),
+    Param("sigma2", float, 1.0, _ALL, "noise_var", "noise variance, watts"),
+    Param("ps_dbw", float, 10.0, _ALL, "source_power_dbw", "source power, dBW"),
+    Param("pr_dbw", float, 10.0, _ALL, "relay_power_dbw", "srs relay power, dBW"),
+    Param("distance", float, 1.0, _ALL, "distance", "relay distance, meters"),
+    Param("slot_duration", float, 1.0, _ALL, "slot_duration", "slot length, seconds"),
+    Param("initial_energy", float, None, _ALL, "initial_energy", "joules per relay"),
+    Param("sense_threshold", float, 0.0, _ALL, "sense_threshold",
+          "sensing threshold, joules"),
+    Param("messages", int, 20000, _ALL, None, "post-warmup messages"),
+    Param("warmup", int, 0, _ALL, "warmup_slots", "warmup slots to discard"),
+    Param("seed", int, 0, _ALL, "seed", "base seed"),
+    Param("schedule", (PIPELINED, FRAMED), PIPELINED, _ALL, "schedule",
+          "slot schedule"),
+    Param("rates", _items(float), None, ("sweep", "compare"), None,
+          "comma-separated rate axis"),
+    Param("etas", _items(float), None, ("sweep",), None, "comma-separated eta axis"),
+    Param("ns", _items(int), None, ("sweep",), None, "comma-separated relay-count axis"),
+    Param("ms", _items(int), None, ("sweep", "opt-m"), None,
+          "comma-separated pre-selection sizes (mrs)"),
+    Param("n_points", int, 5, ("compare",), None, "rate grid size if --rates unset"),
+    Param("z", float, 3.0, _ALL, None, "CI width in binomial sigmas"),
+    Param("workers", int, 1, ("sweep", "opt-m", "compare"), None, "worker processes"),
+    Param("crn", _bool, True, ("sweep",), None, "independent seeds per grid point"),
+    Param("format", ("csv", "json"), "csv", _ALL, None, "result table format"),
+    Param("out", str, None, _ALL, None, "result table destination"),
+)
+_BY_KEY = {p.key: p for p in PARAMS}
+# the scenario columns of CSV_COLUMNS and the SimConfig fields they show
+_ROW_FIELDS = {col: _BY_KEY[col].field for col in CSV_COLUMNS
+               if col in _BY_KEY and _BY_KEY[col].field}
+
+
+def _convert(param: Param, value):
+    """Coerce a flag, config-file or manifest value to the key's canonical type."""
     if value is None:
-        return None
+        if param.default is None:
+            return None
+        raise ConfigError(f"{param.key} must not be null")
     try:
-        if key in _INT_KEYS:
-            if isinstance(value, bool):
+        if isinstance(param.parse, tuple):
+            if value not in param.parse:
                 raise ValueError(value)
-            if isinstance(value, int):
-                return value
-            return int(str(value).strip())
-        if key in _FLOAT_KEYS:
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                return float(value)
-            return float(str(value).strip())
-        if key in _BOOL_KEYS:
-            if isinstance(value, bool):
-                return value
-            text = str(value).strip().lower()
-            if text in ("true", "1", "yes"):
-                return True
-            if text in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if key in _FLOAT_LIST_KEYS or key in _INT_LIST_KEYS:
-            elem = int if key in _INT_LIST_KEYS else float
-            if isinstance(value, str):
-                items = [part.strip() for part in value.split(",") if part.strip()]
-            else:
-                items = list(value)
-            out = [elem(str(item).strip()) if elem is int else elem(item) for item in items]
-            if not out:
-                raise ValueError("empty list")
-            return out
-        if key in _STR_KEYS:
-            text = str(value)
-            if key == "format" and text not in ("csv", "json"):
-                raise ValueError(text)
-            return text
+            return value
+        return param.parse(value if isinstance(value, list) else str(value))
     except (TypeError, ValueError):
-        raise ConfigError(f"invalid value for {key}: {value!r}") from None
-    raise ConfigError(f"unknown config key: {key}")
+        raise ConfigError(f"invalid value for {param.key}: {value!r}") from None
 
 
 def _read_config_file(path: str) -> dict:
@@ -163,22 +173,16 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve_params(args: argparse.Namespace, command: str) -> dict:
     """Merge defaults <- config file <- command-line flags."""
-    params = dict(_SCENARIO_DEFAULTS)
-    params.update(_COMMAND_DEFAULTS[command])
-    if command == "run":
-        params.pop("trace")  # trace is a flag-only output path, not scenario state
-    known = set(params)
+    params = {p.key: p.default for p in PARAMS if command in p.commands}
     if args.config:
         for key, value in _read_config_file(args.config).items():
-            if key not in known:
+            if key not in params:
                 raise ConfigError(f"unknown config key: {key}")
-            params[key] = _convert(key, value)
-    for key in known:
-        value = getattr(args, key, None)
+            params[key] = _convert(_BY_KEY[key], value)
+    for key in params:
+        value = getattr(args, key)
         if value is not None:
-            params[key] = _convert(key, value)
-    if getattr(args, "no_crn", False):
-        params["crn"] = False
+            params[key] = _convert(_BY_KEY[key], value)
     return params
 
 
@@ -186,43 +190,15 @@ def _config_from_params(params: dict) -> SimConfig:
     n_slots = slots_for_messages(
         params["messages"], params["warmup"], params["schedule"]
     )
-    return SimConfig(
-        n_relays=params["n"],
-        policy=params["policy"],
-        m=params["m"],
-        target_rate=params["rate"],
-        eta=params["eta"],
-        source_power_dbw=params["ps_dbw"],
-        relay_power_dbw=params["pr_dbw"],
-        noise_var=params["sigma2"],
-        distance=params["distance"],
-        slot_duration=params["slot_duration"],
-        initial_energy=params["initial_energy"],
-        sense_threshold=params["sense_threshold"],
-        n_slots=n_slots,
-        warmup_slots=params["warmup"],
-        seed=params["seed"],
-        schedule=params["schedule"],
-    ).validate()
+    fields = {p.field: params[p.key] for p in PARAMS if p.field}
+    return SimConfig(n_slots=n_slots, **fields).validate()
 
 
 def _row(config: SimConfig, estimate) -> dict:
-    return {
-        "policy": config.policy,
-        "n": config.n_relays,
-        "m": config.m,
-        "eta": config.eta,
-        "rate": config.target_rate,
-        "sigma2": config.noise_var,
-        "ps_dbw": config.source_power_dbw,
-        "pr_dbw": config.relay_power_dbw,
-        "schedule": config.schedule,
-        "seed": config.seed,
-        "messages": estimate.messages,
-        "outages": estimate.outages,
-        "p_out": estimate.p_hat,
-        "ci_halfwidth": estimate.ci_halfwidth,
-    }
+    row = {col: getattr(config, field) for col, field in _ROW_FIELDS.items()}
+    row.update(messages=estimate.messages, outages=estimate.outages,
+               p_out=estimate.p_hat, ci_halfwidth=estimate.ci_halfwidth)
+    return row
 
 
 def _cell(value) -> str:
@@ -233,14 +209,13 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _out_path(params: dict, command: str) -> Path:
-    name = params["out"] or f"{command}.{params['format']}"
+def _output_path(name: str) -> Path:
+    """Place a relative path under SWIPTRELAY_OUTDIR; create its directory."""
     path = Path(name)
-    if not path.is_absolute():
-        root = os.environ.get("SWIPTRELAY_OUTDIR")
-        if root:
-            path = Path(root) / path
-    if path.parent and not path.parent.exists():
+    root = os.environ.get("SWIPTRELAY_OUTDIR")
+    if root and not path.is_absolute():
+        path = Path(root) / path
+    if not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -281,25 +256,21 @@ def emit_results(rows: list[dict], fmt: str, destination: Path, manifest: dict,
         fh.write("\n")
 
 
+def _write_table(command: str, params: dict, rows: list[dict],
+                 extra: dict | None = None, other_outputs: tuple[str, ...] = ()) -> Path:
+    out = _output_path(params["out"] or f"{command}.{params['format']}")
+    emit_results(rows, params["format"], out,
+                 _manifest(command, params, [str(out), *other_outputs]), extra)
+    return out
+
+
 def _cmd_run(args) -> int:
     params = _resolve_params(args, "run")
     config = _config_from_params(params)
-    trace = getattr(args, "trace", None)
-    trace_path = None
-    if trace:
-        trace_path = Path(trace)
-        if not trace_path.is_absolute():
-            root = os.environ.get("SWIPTRELAY_OUTDIR")
-            if root:
-                trace_path = Path(root) / trace_path
-    est = estimate_outage(
-        config, z=params["z"],
-        trace_path=str(trace_path) if trace_path else None,
-    )
-    out = _out_path(params, "run")
-    outputs = [str(out)] + ([str(trace_path)] if trace_path else [])
-    emit_results([_row(config, est)], params["format"], out,
-                 _manifest("run", params, outputs))
+    trace = str(_output_path(args.trace)) if args.trace else None
+    est = estimate_outage(config, z=params["z"], trace_path=trace)
+    out = _write_table("run", params, [_row(config, est)],
+                       other_outputs=(trace,) if trace else ())
     print(
         f"p_out={est.p_hat!r} ci_halfwidth={est.ci_halfwidth!r} "
         f"({est.outages}/{est.messages} outages)"
@@ -324,8 +295,7 @@ def _cmd_sweep(args) -> int:
     )
     results = sweep(spec)
     rows = [_row(r.config, r.estimate) for r in results]
-    out = _out_path(params, "sweep")
-    emit_results(rows, params["format"], out, _manifest("sweep", params, [str(out)]))
+    out = _write_table("sweep", params, rows)
     print(f"wrote {out} ({len(rows)} rows)")
     return 0
 
@@ -341,10 +311,7 @@ def _cmd_opt_m(args) -> int:
         workers=params["workers"],
     )
     rows = [_row(r.config, r.estimate) for r in star.results]
-    out = _out_path(params, "opt-m")
-    emit_results(rows, params["format"], out,
-                 _manifest("opt-m", params, [str(out)]),
-                 extra={"m_star": star.m_star})
+    out = _write_table("opt-m", params, rows, extra={"m_star": star.m_star})
     for r in star.results:
         print(
             f"m={r.config.m:<3d} p_out={r.estimate.p_hat:.6f} "
@@ -368,15 +335,13 @@ def _cmd_compare(args) -> int:
     )
     results = report.srs + report.mrs_single + report.mrs_star
     rows = [_row(r.config, r.estimate) for r in results]
-    out = _out_path(params, "compare")
     extra = {
         "m_star": report.m_star,
         "mrs_single_not_worse": report.mrs_single_not_worse,
         "mrs_star_not_worse": report.mrs_star_not_worse,
         "consistent": report.consistent,
     }
-    emit_results(rows, params["format"], out,
-                 _manifest("compare", params, [str(out)]), extra=extra)
+    out = _write_table("compare", params, rows, extra=extra)
     print(f"m_star={report.m_star}")
     print("rate      srs         mrs(1)      mrs(m*)     ordering")
     for i, rate in enumerate(report.rates):
@@ -413,63 +378,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="key = value file or a previously written manifest")
-    parser.add_argument("--policy", choices=(SRS, MRS))
-    parser.add_argument("--n", type=int, help="number of relays")
-    parser.add_argument("--m", type=int, help="mrs pre-selection size")
-    parser.add_argument("--rate", type=float, help="target rate, bits/s/Hz")
-    parser.add_argument("--eta", type=float, help="harvest efficiency in [0, 1]")
-    parser.add_argument("--sigma2", type=float, help="noise variance, watts")
-    parser.add_argument("--ps-dbw", type=float, help="source power, dBW")
-    parser.add_argument("--pr-dbw", type=float, help="srs relay power, dBW")
-    parser.add_argument("--distance", type=float)
-    parser.add_argument("--slot-duration", type=float)
-    parser.add_argument("--initial-energy", type=float, help="joules per relay")
-    parser.add_argument("--sense-threshold", type=float, help="joules")
-    parser.add_argument("--messages", type=int, help="post-warmup messages")
-    parser.add_argument("--warmup", type=int, help="warmup slots to discard")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--schedule", choices=(PIPELINED, FRAMED))
-    parser.add_argument("--z", type=float, help="CI width in binomial sigmas")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--out", metavar="PATH", help="result table destination")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="swiptrelay",
                      description="Outage simulator for RF-powered relay selection.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="single outage estimate")
-    _add_scenario_flags(p_run)
-    p_run.add_argument("--trace", metavar="PATH", help="write a replayable trace")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="estimate over a parameter grid")
-    _add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--rates", help="comma-separated rate axis")
-    p_sweep.add_argument("--etas", help="comma-separated eta axis")
-    p_sweep.add_argument("--ns", help="comma-separated relay-count axis")
-    p_sweep.add_argument("--ms", help="comma-separated pre-selection axis (mrs)")
-    p_sweep.add_argument("--workers", type=int)
-    p_sweep.add_argument("--no-crn", action="store_true",
-                         help="independent seeds per grid point")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_opt = sub.add_parser("opt-m", help="search the best mrs pre-selection size")
-    _add_scenario_flags(p_opt)
-    p_opt.add_argument("--ms", help="comma-separated candidate sizes")
-    p_opt.add_argument("--workers", type=int)
-    p_opt.set_defaults(func=_cmd_opt_m)
-
-    p_cmp = sub.add_parser("compare", help="srs vs mrs(1) vs mrs(m_star) vs rate")
-    _add_scenario_flags(p_cmp)
-    p_cmp.add_argument("--rates", help="comma-separated rate axis")
-    p_cmp.add_argument("--n-points", type=int, help="rate grid size if --rates unset")
-    p_cmp.add_argument("--workers", type=int)
-    p_cmp.set_defaults(func=_cmd_compare)
+    commands = {
+        "run": (_cmd_run, "single outage estimate"),
+        "sweep": (_cmd_sweep, "estimate over a parameter grid"),
+        "opt-m": (_cmd_opt_m, "search the best mrs pre-selection size"),
+        "compare": (_cmd_compare, "srs vs mrs(1) vs mrs(m_star) vs rate"),
+    }
+    for command, (handler, text) in commands.items():
+        p_cmd = sub.add_parser(command, help=text)
+        p_cmd.add_argument("--config", metavar="PATH",
+                           help="key = value file or a previously written manifest")
+        for param in PARAMS:
+            if command not in param.commands:
+                continue
+            if param.key == "crn":
+                p_cmd.add_argument("--no-crn", dest="crn", action="store_const",
+                                   const=False, help=param.help)
+                continue
+            kwargs = {"help": param.help}
+            if isinstance(param.parse, tuple):
+                kwargs["choices"] = param.parse
+            elif param.parse in (int, float):
+                # list keys stay text here: _resolve_params parses them, so a
+                # bad list is a ConfigError naming the key, not a usage error
+                kwargs["type"] = param.parse
+            p_cmd.add_argument("--" + param.key.replace("_", "-"), **kwargs)
+        if command == "run":
+            p_cmd.add_argument("--trace", metavar="PATH", help="write a replayable trace")
+        p_cmd.set_defaults(func=handler)
 
     p_replay = sub.add_parser("replay", help="re-verify a trace file")
     p_replay.add_argument("trace", help="trace file from run --trace")

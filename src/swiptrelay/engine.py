@@ -179,6 +179,23 @@ class SimConfig:
             raise ConfigError(f"initial_energy must be >= 0, got {self.initial_energy}")
         if self.sense_threshold < 0:
             raise ConfigError(f"sense_threshold must be >= 0, got {self.sense_threshold}")
+        # constants the engines derive; overflow or underflow to 0 would
+        # surface there as OverflowError or ZeroDivisionError
+        for name, derive in (
+            ("source_power_dbw", lambda: self.source_power_w),
+            ("relay_power_dbw", lambda: self.relay_power_w),
+            ("distance", lambda: self.distance**PATH_LOSS_EXP),
+            ("target_rate", lambda: 2.0 ** (2.0 * self.target_rate)),
+        ):
+            try:
+                in_range = 0.0 < derive() < math.inf
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ConfigError(
+                    f"{name} out of range: {getattr(self, name)} makes a derived "
+                    "constant overflow or underflow to 0"
+                )
         if not isinstance(self.n_slots, int) or self.n_slots < 1:
             raise ConfigError(f"n_slots must be a positive integer, got {self.n_slots}")
         if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:

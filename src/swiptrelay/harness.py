@@ -55,14 +55,19 @@ def estimate_outage(
 ) -> OutageEstimate:
     """Run one trial and summarize its post-warmup outage count."""
     config.validate()
-    if z <= 0:
-        raise ConfigError(f"z must be > 0, got {z}")
+    _check_z(z)
     messages = config.message_count()
     if messages < 1:
         raise ConfigError("config yields no post-warmup messages")
     outcomes = run_trial(config, trace_path=trace_path)
     outages = sum(1 for o in outcomes if o.result is not Outcome.SUCCESS)
     return _summarize(outages, messages, z)
+
+
+def _check_z(z: float) -> None:
+    """Refuse a CI width that is not a finite positive number of sigmas."""
+    if not (math.isfinite(z) and z > 0):
+        raise ConfigError(f"z must be finite and > 0, got {z}")
 
 
 def _summarize(outages: int, messages: int, z: float) -> OutageEstimate:
@@ -107,10 +112,7 @@ class SweepResult:
 def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
     base = spec.base
     base.validate()
-    if spec.messages < 1:
-        raise ConfigError(f"messages must be >= 1, got {spec.messages}")
-    if spec.z <= 0:
-        raise ConfigError(f"z must be > 0, got {spec.z}")
+    _check_z(spec.z)
     if not isinstance(spec.workers, int) or spec.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {spec.workers}")
     if spec.ms is not None and base.policy != MRS:

@@ -2,11 +2,22 @@
 
 import csv
 import json
+from dataclasses import fields
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from swiptrelay.cli import CSV_COLUMNS, main
-from swiptrelay.errors import InvariantError
+from swiptrelay.cli import (
+    CSV_COLUMNS,
+    PARAMS,
+    _convert,
+    _resolve_params,
+    build_parser,
+    main,
+)
+from swiptrelay.engine import SimConfig
+from swiptrelay.errors import ConfigError, InvariantError
 
 
 def run_cli(*argv):
@@ -70,6 +81,26 @@ def test_non_finite_value_names_the_key(tmp_path, capsys, flag, value, key):
     assert run_cli("run", flag, value, "--messages", "10", "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert key in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (("run", "--z", "nan"), "z"),
+        (("sweep", "--rates", "0.5,1.0", "--z", "inf"), "z"),
+        (("run", "--ps-dbw", "4000"), "source_power_dbw"),
+        (("run", "--ps-dbw", "-4000"), "source_power_dbw"),
+        (("run", "--pr-dbw", "-4000"), "relay_power_dbw"),
+        (("run", "--distance", "1e-200"), "distance"),
+        (("run", "--rate", "600"), "target_rate"),
+        (("sweep", "--rates", "1.0,600"), "target_rate"),
+    ],
+)
+def test_out_of_range_value_names_the_key(tmp_path, capsys, argv, key):
+    out = tmp_path / "r.csv"
+    assert run_cli(*argv, "--messages", "10", "--out", str(out)) == 1
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -176,6 +207,86 @@ def test_run_trace_then_replay(tmp_path):
 
 
 # -- config files ------------------------------------------------------------
+
+
+# one canonical text spelling and parsed value per table key
+SAMPLES = {
+    "policy": ("mrs", "mrs"), "n": ("3", 3), "m": ("2", 2), "rate": ("0.25", 0.25),
+    "eta": ("0.125", 0.125), "sigma2": ("2.5", 2.5), "ps_dbw": ("12", 12.0),
+    "pr_dbw": ("-3", -3.0), "distance": ("1.5", 1.5), "slot_duration": ("0.5", 0.5),
+    "initial_energy": ("7", 7.0), "sense_threshold": ("0.01", 0.01),
+    "messages": ("90", 90), "warmup": ("4", 4), "seed": ("11", 11),
+    "schedule": ("framed", "framed"), "rates": ("0.5, 1", [0.5, 1.0]),
+    "etas": ("0.1,0.2", [0.1, 0.2]), "ns": ("2,4", [2, 4]), "ms": ("1,3", [1, 3]),
+    "n_points": ("4", 4), "z": ("2", 2.0), "workers": ("2", 2),
+    "crn": ("false", False), "format": ("json", "json"), "out": ("o.csv", "o.csv"),
+}
+COMMANDS = ("run", "sweep", "opt-m", "compare")
+
+
+def test_param_table_sets_each_simconfig_field_once():
+    assert [p.key for p in PARAMS] == list(SAMPLES)
+    set_fields = sorted(p.field for p in PARAMS if p.field)
+    assert set_fields == sorted(f.name for f in fields(SimConfig) if f.name != "n_slots")
+    nullable = {p.key for p in PARAMS if p.default is None}
+    assert nullable == {"m", "initial_energy", "out", "rates", "etas", "ns", "ms"}
+
+
+@pytest.mark.parametrize("param", PARAMS, ids=lambda p: p.key)
+def test_param_is_a_flag_and_config_key_of_its_commands(tmp_path, param):
+    text, value = SAMPLES[param.key]
+    flag = ["--" + param.key.replace("_", "-"), text]
+    if param.key == "crn":
+        flag = ["--no-crn"]
+    for command in COMMANDS:
+        if command not in param.commands:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, *flag])
+            continue
+        args = build_parser().parse_args([command, *flag])
+        assert _resolve_params(args, command)[param.key] == value
+        for key in {param.key, param.key.replace("_", "-")}:
+            conf = tmp_path / "c.conf"
+            conf.write_text(f"{key} = {text}\n")
+            args = build_parser().parse_args([command, "--config", str(conf)])
+            assert _resolve_params(args, command)[param.key] == value
+
+
+@pytest.mark.parametrize(
+    "param", [p for p in PARAMS if p.default is not None], ids=lambda p: p.key
+)
+def test_config_null_is_refused_for_non_nullable_keys(tmp_path, capsys, param):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps({"params": {param.key: None}}))
+    out = tmp_path / "r.csv"
+    assert run_cli(param.commands[0], "--config", str(conf), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert param.key in err and "null" in err
+    assert not out.exists()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(param=st.sampled_from(PARAMS), value=JSON_VALUES)
+def test_any_manifest_value_converts_or_names_the_key(param, value):
+    try:
+        _convert(param, value)
+    except ConfigError as exc:
+        assert param.key in str(exc)
+
+
+def test_config_null_is_taken_for_nullable_keys(tmp_path, monkeypatch):
+    monkeypatch.setenv("SWIPTRELAY_OUTDIR", str(tmp_path))
+    conf = tmp_path / "c.json"
+    nulls = dict.fromkeys(["m", "initial_energy", "out", "rates", "etas", "ns", "ms"])
+    conf.write_text(json.dumps({"params": {**nulls, "messages": 40}}))
+    assert run_cli("sweep", "--config", str(conf)) == 0
+    assert len(read_rows(tmp_path / "sweep.csv")) == 1
 
 
 def test_config_file_merging_and_flag_precedence(tmp_path):
@@ -299,6 +410,28 @@ def test_sweep_over_several_gain_fields_is_worker_independent(tmp_path, crn):
     assert len({r["seed"] for r in rows}) == (4 if crn else 16)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--policy", "mrs", "--m", "1", "--ns", "2,3", "--etas", "0.1,0.5",
+         "--rates", "0.5,1.5", "--ms", "1,2", "--no-crn", "--messages", "60",
+         "--seed", "4"),
+        ("opt-m", "--n", "3", "--ms", "1,3", "--eta", "0.2", "--messages", "100",
+         "--seed", "2"),
+        ("compare", "--n", "3", "--eta", "0.3", "--n-points", "3",
+         "--messages", "80", "--seed", "3"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_rerun_from_manifest_reproduces_csv_for_every_table_command(tmp_path, argv):
+    out = tmp_path / "first.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    sidecar = tmp_path / "first.csv.manifest.json"
+    again = tmp_path / "again.csv"
+    assert run_cli(argv[0], "--config", str(sidecar), "--out", str(again)) == 0
+    assert out.read_bytes() == again.read_bytes()
+
+
 def test_opt_m_reports_m_star(tmp_path, capsys):
     out = tmp_path / "o.json"
     rc = run_cli("opt-m", "--n", "4", "--eta", "0.1", "--messages", "300",
@@ -345,6 +478,17 @@ def test_absolute_out_ignores_outdir(tmp_path, monkeypatch):
     out = tmp_path / "direct.csv"
     run_cli("run", "--messages", "100", "--seed", "1", "--out", str(out))
     assert out.exists()
+
+
+def test_trace_into_a_missing_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("SWIPTRELAY_OUTDIR", str(tmp_path / "results"))
+    rc = run_cli("run", "--messages", "60", "--seed", "5", "--out", "r.csv",
+                 "--trace", "sub/t.jsonl")
+    assert rc == 0
+    trace = tmp_path / "results" / "sub" / "t.jsonl"
+    manifest = json.loads((tmp_path / "results" / "r.csv.manifest.json").read_text())
+    assert manifest["outputs"][1] == str(trace)
+    assert run_cli("replay", str(trace)) == 0
 
 
 def test_replay_missing_file_exits_1(tmp_path):

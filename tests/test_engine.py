@@ -93,6 +93,28 @@ def test_config_validation_refuses_non_finite_floats(key, value):
         SimConfig(**{key: value}).validate()
 
 
+@pytest.mark.parametrize(
+    "kw,key",
+    [
+        (dict(source_power_dbw=4000.0), "source_power_dbw"),    # watts overflow
+        (dict(source_power_dbw=-4000.0), "source_power_dbw"),   # watts underflow to 0
+        (dict(relay_power_dbw=-4000.0), "relay_power_dbw"),
+        (dict(distance=1e-200), "distance"),                    # square underflows to 0
+        (dict(distance=1e200), "distance"),                     # square overflows
+        (dict(target_rate=600.0), "target_rate"),               # 2**(2R) overflows
+    ],
+)
+def test_config_validation_refuses_out_of_range_derived_constants(kw, key):
+    with pytest.raises(ConfigError, match=key):
+        SimConfig(**kw).validate()
+
+
+def test_config_validation_accepts_extreme_but_representable_values():
+    cfg = SimConfig(source_power_dbw=3000.0, relay_power_dbw=-3000.0,
+                    distance=1e-150, target_rate=500.0, n_slots=20).validate()
+    assert len(run_trial(cfg)) == cfg.total_messages()
+
+
 def test_config_derived_quantities():
     cfg = SimConfig()
     assert cfg.source_power_w == pytest.approx(10.0)

@@ -43,6 +43,15 @@ def test_estimate_z_scales_halfwidth():
         estimate_outage(cfg, z=0.0)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, -1.0])
+def test_estimate_and_sweep_refuse_a_non_finite_or_non_positive_z(z):
+    cfg = replace(FRAMED_1, n_slots=20)
+    with pytest.raises(ConfigError, match="z must be finite and > 0"):
+        estimate_outage(cfg, z=z)
+    with pytest.raises(ConfigError, match="z must be finite and > 0"):
+        sweep(_spec(z=z))
+
+
 def test_estimate_rejects_zero_message_budget():
     # two framed slots broadcast once, and the warmup swallows it
     cfg = SimConfig(n_slots=2, warmup_slots=1, schedule="framed")
