@@ -4,13 +4,11 @@ decode-and-forward relay selection."""
 __version__ = "0.1.0"
 
 from swiptrelay.channel import (
-    LinkBudget,
     dbw_to_watts,
     draw_gain,
     gain_stream,
     inversion_power,
     link_rate,
-    min_gain_for_rate,
 )
 from swiptrelay.engine import (
     Outcome,
@@ -35,19 +33,14 @@ from swiptrelay.harness import (
     sweep,
 )
 from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
-from swiptrelay.relay import HarvestParams, RelayState, RelayStatus, harvest_amount
 
 __all__ = [
     "ConfigError",
-    "HarvestParams",
     "InvariantError",
-    "LinkBudget",
     "MStarResult",
     "Outcome",
     "OutageEstimate",
     "PolicyComparison",
-    "RelayState",
-    "RelayStatus",
     "ReplayResult",
     "SimConfig",
     "SlotOutcome",
@@ -59,10 +52,8 @@ __all__ = [
     "draw_gain",
     "estimate_outage",
     "gain_stream",
-    "harvest_amount",
     "inversion_power",
     "link_rate",
-    "min_gain_for_rate",
     "mrs_final_select",
     "mrs_preselect",
     "optimize_m",

@@ -10,34 +10,11 @@ branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from swiptrelay.errors import ConfigError
-
 # Received power falls off as distance^2; the model hard-codes this exponent.
 PATH_LOSS_EXP = 2
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Everything besides fading needed to turn a gain into a rate.
-
-    tx_power and noise_var are in watts, distance in meters.
-    """
-
-    tx_power: float
-    noise_var: float = 1.0
-    distance: float = 1.0
-
-    def __post_init__(self):
-        if self.tx_power < 0:
-            raise ConfigError(f"tx_power must be >= 0, got {self.tx_power}")
-        if self.noise_var <= 0:
-            raise ConfigError(f"noise_var must be > 0, got {self.noise_var}")
-        if self.distance <= 0:
-            raise ConfigError(f"distance must be > 0, got {self.distance}")
 
 
 def dbw_to_watts(x: float) -> float:
@@ -73,28 +50,17 @@ def draw_gain(rng: np.random.Generator, size: int | None = None):
     return np.negative(gains, out=gains)
 
 
-def link_rate(gain_sq: float, budget: LinkBudget) -> float:
+def link_rate(
+    gain_sq: float, tx_power: float, noise_var: float = 1.0, distance: float = 1.0
+) -> float:
     """Spectral efficiency of one hop in bits/s/Hz.
 
     The 1/2 factor accounts for the two orthogonal slots a message occupies
-    (source->relay, then relay->destination).
+    (source->relay, then relay->destination). The engines never take this
+    log: they compare gains with inversion_numerator / tx_power instead.
     """
-    snr = gain_sq * budget.tx_power / (budget.noise_var * budget.distance**PATH_LOSS_EXP)
+    snr = gain_sq * tx_power / (noise_var * distance**PATH_LOSS_EXP)
     return 0.5 * math.log2(1.0 + snr)
-
-
-def min_gain_for_rate(target_rate: float, budget: LinkBudget) -> float:
-    """Smallest |h|^2 at which link_rate reaches target_rate.
-
-    link_rate(g, budget) >= R  <=>  g >= min_gain_for_rate(R, budget),
-    which lets the hot loop test decodability without logs.
-    """
-    return (
-        (2.0 ** (2.0 * target_rate) - 1.0)
-        * budget.noise_var
-        * budget.distance**PATH_LOSS_EXP
-        / budget.tx_power
-    )
 
 
 def inversion_numerator(target_rate: float, noise_var: float, distance: float) -> float:

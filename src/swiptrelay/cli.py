@@ -210,13 +210,12 @@ def _cell(value) -> str:
 
 
 def _output_path(name: str) -> Path:
-    """Place a relative path under SWIPTRELAY_OUTDIR; create its directory."""
+    """Place a relative path under SWIPTRELAY_OUTDIR. The writer creates
+    a missing directory, once the run has passed validation."""
     path = Path(name)
     root = os.environ.get("SWIPTRELAY_OUTDIR")
     if root and not path.is_absolute():
         path = Path(root) / path
-    if not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -259,6 +258,8 @@ def emit_results(rows: list[dict], fmt: str, destination: Path, manifest: dict,
 def _write_table(command: str, params: dict, rows: list[dict],
                  extra: dict | None = None, other_outputs: tuple[str, ...] = ()) -> Path:
     out = _output_path(params["out"] or f"{command}.{params['format']}")
+    if not out.parent.exists():
+        out.parent.mkdir(parents=True, exist_ok=True)
     emit_results(rows, params["format"], out,
                  _manifest(command, params, [str(out), *other_outputs]), extra)
     return out

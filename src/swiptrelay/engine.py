@@ -14,9 +14,8 @@ Each slot runs a fixed sequence of phases:
    (srs) or the M energy-richest (mrs).
 3. BROADCAST: the source transmits. Listeners attempt to decode; idle
    relays harvest the RF energy instead. Listening and transmitting relays
-   harvest nothing.
-4. ADVANCE: statuses clear; decode results carry to the next slot's
-   FORWARD phase.
+   harvest nothing. The decode results carry to the next slot's FORWARD
+   phase.
 
 Under the default "pipelined" schedule the source broadcasts every slot
 (the previous forwarder simply misses the current broadcast, mimicking
@@ -31,14 +30,14 @@ across parameter values are exact. Gains are drawn GAIN_BLOCK slots at a
 time, which yields the same values as slot-by-slot draws.
 
 Two engines step this state machine. _Trial (via run_trial) runs one
-config with Python objects per relay; it alone writes and replays traces
+config on a list of battery floats; it alone writes and replays traces
 and checks the per-slot energy ledger. run_batch runs K configs that share
 one gain field and differ only in m and target_rate in lockstep: batteries
 and decoder sets are rows of (K, N) arrays, and every row's outcomes equal
 run_trial's for that config bit for bit. At K = 1 a lockstep slot costs
-more than a _Trial slot (about 1.8x for srs at N = 5, 1.1x for mrs at
-N = 10, M = 4); from K = 2 on it costs less per config, so the harness
-picks the engine by group size.
+more than a _Trial slot (about 3x for srs at N = 5, 1.2x for mrs at
+N = 10, M = 4, on a 2-core VM); from K = 2 on it costs less per config,
+so the harness picks the engine by group size.
 """
 
 from __future__ import annotations
@@ -47,30 +46,21 @@ import enum
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from typing import Sequence
+from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from swiptrelay import __version__
 from swiptrelay.channel import (
     PATH_LOSS_EXP,
-    LinkBudget,
     dbw_to_watts,
     draw_gain,
     gain_stream,
     inversion_numerator,
-    min_gain_for_rate,
 )
 from swiptrelay.errors import ConfigError, InvariantError
 from swiptrelay.policies import Candidate, mrs_final_select, mrs_preselect, srs_select
-from swiptrelay.relay import (
-    HarvestParams,
-    RelayState,
-    RelayStatus,
-    credit,
-    debit_for_tx,
-    harvest_amount,
-)
 
 SRS = "srs"
 MRS = "mrs"
@@ -196,6 +186,13 @@ class SimConfig:
                     f"{name} out of range: {getattr(self, name)} makes a derived "
                     "constant overflow or underflow to 0"
                 )
+        # finite factors can still multiply out to inf
+        for name, value in _constants(self)._asdict().items():
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{_CONSTANT_KEYS[name]} out of range: together they make "
+                    f"{name} overflow to {value}"
+                )
         if not isinstance(self.n_slots, int) or self.n_slots < 1:
             raise ConfigError(f"n_slots must be a positive integer, got {self.n_slots}")
         if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
@@ -242,6 +239,45 @@ class SimConfig:
         return cls(**data)
 
 
+class _Constants(NamedTuple):
+    """The floats both engines derive from a config. Each is computed here
+    once, in one operation order, so the engines agree bit for bit."""
+
+    numerator: float       # inversion power x gain that meets target_rate
+    decode_min: float      # least g_sl at which a listener decodes
+    forward_min: float     # least g_ld at which a fixed-power forward arrives
+    fixed_cost: float      # joules per srs forward
+    harvest_scale: float   # a harvest is harvest_scale * g * slot_duration / path_loss
+    path_loss: float
+    initial_energy: float  # joules per relay
+
+
+# the keys each constant derives from, for validate's messages
+_CONSTANT_KEYS = {
+    "numerator": "target_rate, noise_var and distance",
+    "decode_min": "target_rate, noise_var, distance and source_power_dbw",
+    "forward_min": "target_rate, noise_var, distance and relay_power_dbw",
+    "fixed_cost": "relay_power_dbw and slot_duration",
+    "harvest_scale": "eta and source_power_dbw",
+    "path_loss": "distance",
+    "initial_energy": "initial_energy, relay_power_dbw and slot_duration",
+}
+
+
+def _constants(config: SimConfig) -> _Constants:
+    # "link rate >= target rate" as a gain threshold: numerator / power
+    numerator = inversion_numerator(config.target_rate, config.noise_var, config.distance)
+    return _Constants(
+        numerator=numerator,
+        decode_min=numerator / config.source_power_w,
+        forward_min=numerator / config.relay_power_w,
+        fixed_cost=config.fixed_tx_energy,
+        harvest_scale=config.eta * config.source_power_w,
+        path_loss=config.distance**PATH_LOSS_EXP,
+        initial_energy=config.initial_energy_j,
+    )
+
+
 def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
     """Slot count that yields exactly `messages` post-warmup messages."""
     if messages < 1:
@@ -267,45 +303,23 @@ def _gain_blocks(config: SimConfig):
         left -= block
 
 
-@dataclass
-class _Pending:
-    """A broadcast message awaiting its FORWARD phase."""
-
-    message: int
-    decoder_ids: tuple[int, ...]  # srs: the single designated decoder
-
-
 class _Trial:
-    """Mutable state for one run; step() advances it one slot."""
+    """Mutable state for one run; step() advances it one slot.
+
+    The state is one battery per relay and the message awaiting its
+    FORWARD phase, as (message, decoder ids); srs keeps its single
+    designated decoder there.
+    """
 
     def __init__(self, config: SimConfig):
         self.cfg = config
-        self.relays = [
-            RelayState(i, config.initial_energy_j) for i in range(config.n_relays)
-        ]
-        self.harvest = HarvestParams(
-            eta=config.eta,
-            source_power=config.source_power_w,
-            slot_duration=config.slot_duration,
-            distance=config.distance,
-            sense_threshold=config.sense_threshold,
-        )
-        source_budget = LinkBudget(
-            config.source_power_w, config.noise_var, config.distance
-        )
-        relay_budget = LinkBudget(config.relay_power_w, config.noise_var, config.distance)
-        # gain thresholds equivalent to "link rate >= target rate"
-        self.decode_min_gain = min_gain_for_rate(config.target_rate, source_budget)
-        self.forward_min_gain = min_gain_for_rate(config.target_rate, relay_budget)
-        self.fixed_cost = config.fixed_tx_energy
-        self.pending: _Pending | None = None
+        self.const = _constants(config)
+        self.battery = [self.const.initial_energy] * config.n_relays
+        self.pending: tuple[int, tuple[int, ...]] | None = None
         self.next_message = 0
 
-    def _view(self) -> list[Candidate]:
-        return [
-            Candidate(r.id, r.battery, r.status is RelayStatus.IDLE)
-            for r in self.relays
-        ]
+    def _view(self, forwarder: int | None) -> list[Candidate]:
+        return [Candidate(i, b, i != forwarder) for i, b in enumerate(self.battery)]
 
     def step(
         self,
@@ -317,17 +331,14 @@ class _Trial:
     ) -> tuple[list[tuple[int, Outcome]], dict | None]:
         """Run one slot; returns resolved (message, outcome) pairs and,
         when requested, a trace record."""
-        cfg = self.cfg
-        relays = self.relays
+        cfg, k, battery = self.cfg, self.const, self.battery
         mrs = cfg.policy == MRS
         # the slot after the last one is the forward-only drain slot
         do_forward = cfg.schedule == PIPELINED or slot % 2 == 1 or slot >= cfg.n_slots
-        do_broadcast = slot < cfg.n_slots and (
-            cfg.schedule == PIPELINED or slot % 2 == 0
-        )
+        do_broadcast = slot < cfg.n_slots and (cfg.schedule == PIPELINED or slot % 2 == 0)
 
         if check:
-            energy_before = sum(r.battery for r in relays)
+            energy_before = sum(battery)
         resolved: list[tuple[int, Outcome]] = []
         forwarder: int | None = None
         tx_power: float | None = None
@@ -338,84 +349,62 @@ class _Trial:
 
         # 1. FORWARD: resolve the previous broadcast, if any
         if do_forward and self.pending is not None:
-            msg = self.pending.message
-            lam = self.pending.decoder_ids
+            msg, lam = self.pending
+            self.pending = None
             if not mrs:
-                rid = lam[0]
-                relay = relays[rid]
-                if debit_for_tx(relay, self.fixed_cost) is None:
-                    raise InvariantError(
-                        f"designated relay {rid} cannot pay the fixed cost it was vetted for"
-                    )
-                debited += self.fixed_cost
-                relay.status = RelayStatus.TRANSMITTING
-                forwarder, tx_power = rid, cfg.relay_power_w
-                ok = g_ld[rid] >= self.forward_min_gain
+                forwarder, tx_power, cost = lam[0], cfg.relay_power_w, k.fixed_cost
+                ok = g_ld[forwarder] >= k.forward_min
                 resolved.append((msg, Outcome.SUCCESS if ok else Outcome.DECODE_FAIL))
             elif not lam:
                 resolved.append((msg, Outcome.NO_DECODER))
             else:
                 pick = mrs_final_select(
-                    lam,
-                    self._view(),
-                    {rid: g_ld[rid] for rid in lam},
-                    cfg.target_rate,
-                    cfg.noise_var,
-                    cfg.distance,
-                    cfg.slot_duration,
+                    lam, self._view(None), {rid: g_ld[rid] for rid in lam},
+                    cfg.target_rate, cfg.noise_var, cfg.distance, cfg.slot_duration,
                 )
                 if pick is None:
                     resolved.append((msg, Outcome.NO_FEASIBLE_POWER))
                 else:
-                    rid, power, cost = pick
-                    relay = relays[rid]
-                    if debit_for_tx(relay, cost) is None:
-                        raise InvariantError(
-                            f"relay {rid} selected with unaffordable cost {cost}"
-                        )
-                    debited += cost
-                    relay.status = RelayStatus.TRANSMITTING
-                    forwarder, tx_power = rid, power
+                    forwarder, tx_power, cost = pick
                     # inversion power meets the rate by construction
                     resolved.append((msg, Outcome.SUCCESS))
-            self.pending = None
+            if forwarder is not None:
+                if battery[forwarder] < cost:
+                    raise InvariantError(f"slot {slot}: forwarder {forwarder} cannot pay {cost} J")
+                battery[forwarder] -= cost
+                debited = cost
 
         # 2. DESIGNATE + 3. BROADCAST
         if do_broadcast:
             msg = self.next_message
             self.next_message += 1
-            view = self._view()
+            view = self._view(forwarder)
             if mrs:
                 designated = sorted(mrs_preselect(view, cfg.m))
             else:
-                pick = srs_select(view, self.fixed_cost)
+                pick = srs_select(view, k.fixed_cost)
                 if pick is None:
                     resolved.append((msg, Outcome.NO_CANDIDATE))
                 else:
                     designated = [pick]
-            for rid in designated:
-                relays[rid].status = RelayStatus.LISTENING
-            decoded = [rid for rid in designated if g_sl[rid] >= self.decode_min_gain]
-            for relay in relays:
-                if relay.status is RelayStatus.IDLE:
-                    amount = harvest_amount(g_sl[relay.id], self.harvest)
-                    credit(relay, amount)
+            decoded = [rid for rid in designated if g_sl[rid] >= k.decode_min]
+            # idle relays harvest; listeners and the forwarder do not
+            busy = {forwarder, *designated}
+            for rid, gain in enumerate(g_sl):
+                if rid not in busy:
+                    amount = k.harvest_scale * gain * cfg.slot_duration / k.path_loss
+                    if amount < cfg.sense_threshold:
+                        amount = 0.0
+                    battery[rid] += amount
                     harvested += amount
-            if mrs:
-                self.pending = _Pending(msg, tuple(decoded))
+            if mrs or decoded:
+                self.pending = (msg, tuple(decoded))
             elif designated:
-                if decoded:
-                    self.pending = _Pending(msg, (decoded[0],))
-                else:
-                    # relay could not decode; no transmission, no energy spent
-                    resolved.append((msg, Outcome.DECODE_FAIL))
+                # relay could not decode; no transmission, no energy spent
+                resolved.append((msg, Outcome.DECODE_FAIL))
 
         if check:
             self._check_slot(slot, energy_before, harvested, debited, forwarder, designated)
-
-        # 4. ADVANCE
-        for relay in relays:
-            relay.status = RelayStatus.IDLE
 
         record = None
         if want_record:
@@ -428,22 +417,18 @@ class _Trial:
                 "designated": designated,
                 "decoded": decoded,
                 "outcomes": [[msg, res.value] for msg, res in resolved],
-                "battery": [relay.battery for relay in relays],
+                "battery": list(battery),
             }
         return resolved, record
 
     def _check_slot(self, slot, energy_before, harvested, debited, forwarder, designated):
-        transmitting = [r.id for r in self.relays if r.status is RelayStatus.TRANSMITTING]
-        if len(transmitting) > 1:
-            raise InvariantError(f"slot {slot}: multiple transmitters {transmitting}")
+        # one forwarder variable: at most one relay transmits per slot
         if forwarder is not None and forwarder in designated:
             raise InvariantError(f"slot {slot}: transmitter {forwarder} was designated")
-        for relay in self.relays:
-            if relay.battery < 0:
-                raise InvariantError(
-                    f"slot {slot}: relay {relay.id} battery negative ({relay.battery})"
-                )
-        balance = sum(r.battery for r in self.relays) - energy_before - harvested + debited
+        for rid, battery in enumerate(self.battery):
+            if battery < 0:
+                raise InvariantError(f"slot {slot}: relay {rid} battery negative ({battery})")
+        balance = sum(self.battery) - energy_before - harvested + debited
         if abs(balance) > LEDGER_TOL:
             raise InvariantError(f"slot {slot}: energy ledger off by {balance}")
 
@@ -464,7 +449,12 @@ def run_trial(
     trial = _Trial(config)
     warmup = config.warmup_messages()
     outcomes: list[SlotOutcome] = []
-    writer = open(trace_path, "w", newline="\n") if trace_path is not None else None
+    writer = None
+    if trace_path is not None:
+        directory = Path(trace_path).parent
+        if not directory.exists():
+            directory.mkdir(parents=True, exist_ok=True)
+        writer = open(trace_path, "w", newline="\n")
     try:
         if writer is not None:
             header = {"kind": "config", "version": __version__, "config": config.to_dict()}
@@ -513,8 +503,8 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
 
     Returns, per config, the count of each Outcome over its post-warmup
     messages: exactly a tally of run_trial(config)'s outcomes. Per-config
-    constants are Python floats computed in _Trial's operation order, and
-    ties break toward the lowest relay id as in the policies module.
+    constants are _Trial's Python floats, and ties break toward the lowest
+    relay id as in the policies module.
     """
     if not configs:
         raise ConfigError("run_batch needs at least one config")
@@ -528,23 +518,19 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     pipelined = first.schedule == PIPELINED
     n_slots = first.n_slots
     ids = np.arange(n)
-    source = LinkBudget(first.source_power_w, first.noise_var, first.distance)
-    relay = LinkBudget(first.relay_power_w, first.noise_var, first.distance)
-    decode_min = np.array([[min_gain_for_rate(c.target_rate, source)] for c in configs])
-    forward_min = np.array([min_gain_for_rate(c.target_rate, relay) for c in configs])
-    numerator = np.array(
-        [[inversion_numerator(c.target_rate, c.noise_var, c.distance)] for c in configs]
-    )
+    rows = [_constants(c) for c in configs]
+    decode_min = np.array([[row.decode_min] for row in rows])
+    forward_min = np.array([row.forward_min for row in rows])
+    numerator = np.array([[row.numerator] for row in rows])
     free_rate = np.array([c.target_rate == 0 for c in configs])  # inversion costs 0
     any_free_rate = bool(free_rate.any())
     if mrs:
         m = np.array([[c.m] for c in configs])
-    fixed_cost = first.fixed_tx_energy
+    shared = rows[0]
+    fixed_cost = shared.fixed_cost
     slot_duration = first.slot_duration
-    harvest_scale = first.eta * first.source_power_w
-    path_loss = first.distance**PATH_LOSS_EXP
 
-    battery = np.full((k, n), first.initial_energy_j)
+    battery = np.full((k, n), shared.initial_energy)
     cells = battery.reshape(-1)  # battery[row, relay] is cells[offsets[row] + relay]
     offsets = np.arange(0, k * n, n)
     # the pending message is always the last one broadcast: message - 1
@@ -557,7 +543,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     slot = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for g_sl, g_ld in _gain_blocks(first):
-            harvest = harvest_scale * g_sl * slot_duration / path_loss
+            harvest = shared.harvest_scale * g_sl * slot_duration / shared.path_loss
             harvest[harvest < first.sense_threshold] = 0.0
             for b in range(len(g_sl)):
                 if slot >= n_slots and not pending:

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swiptrelay.channel import (
-    LinkBudget,
     dbw_to_watts,
     draw_gain,
     gain_from_uniform,
     gain_stream,
     inversion_power,
     link_rate,
-    min_gain_for_rate,
 )
+from swiptrelay.engine import SimConfig, _constants
 from swiptrelay.errors import ConfigError
 
 
@@ -57,35 +56,36 @@ def test_draw_gain_is_unit_mean_exponential():
 
 def test_link_rate_known_point():
     # g = 0.3, P = 10, sigma2 = 1, d = 1: 0.5 * log2(1 + 3) = 1 exactly
-    budget = LinkBudget(tx_power=10.0)
-    assert link_rate(0.3, budget) == pytest.approx(1.0)
-    assert link_rate(0.0, budget) == 0.0
+    assert link_rate(0.3, 10.0) == pytest.approx(1.0)
+    assert link_rate(0.0, 10.0) == 0.0
 
 
 def test_link_rate_monotone_in_gain_and_power():
-    b1 = LinkBudget(tx_power=10.0)
-    b2 = LinkBudget(tx_power=20.0)
-    assert link_rate(0.5, b1) > link_rate(0.4, b1)
-    assert link_rate(0.4, b2) > link_rate(0.4, b1)
+    assert link_rate(0.5, 10.0) > link_rate(0.4, 10.0)
+    assert link_rate(0.4, 20.0) > link_rate(0.4, 10.0)
 
 
 def test_link_rate_distance_attenuation():
-    near = LinkBudget(tx_power=10.0, distance=1.0)
-    far = LinkBudget(tx_power=10.0, distance=2.0)
     # squared-distance path loss: same rate needs 4x the gain at d = 2
-    assert link_rate(1.2, far) == pytest.approx(link_rate(0.3, near))
+    assert link_rate(1.2, 10.0, distance=2.0) == pytest.approx(link_rate(0.3, 10.0))
 
 
 def test_min_gain_for_rate_inverts_link_rate():
-    budget = LinkBudget(tx_power=10.0, noise_var=2.0, distance=1.5)
+    """The engines' decode and forward gain thresholds sit exactly where
+    link_rate reaches the target rate."""
+    kw = dict(noise_var=2.0, distance=1.5, source_power_dbw=10.0, relay_power_dbw=13.0)
     for rate in (0.25, 1.0, 2.0, 3.5):
-        g = min_gain_for_rate(rate, budget)
-        assert link_rate(g, budget) == pytest.approx(rate)
-    assert min_gain_for_rate(0.0, budget) == 0.0
+        cfg = SimConfig(target_rate=rate, **kw).validate()
+        k = _constants(cfg)
+        assert link_rate(k.decode_min, cfg.source_power_w, 2.0, 1.5) == pytest.approx(rate)
+        assert link_rate(k.forward_min, cfg.relay_power_w, 2.0, 1.5) == pytest.approx(rate)
+    k = _constants(SimConfig(target_rate=0.0, **kw))
+    assert k.decode_min == k.forward_min == 0.0
 
 
 def test_min_gain_known_point():
-    assert min_gain_for_rate(1.0, LinkBudget(tx_power=10.0)) == pytest.approx(0.3)
+    k = _constants(SimConfig())
+    assert k.decode_min == k.forward_min == pytest.approx(0.3)
 
 
 def test_inversion_power_known_point():
@@ -105,14 +105,16 @@ def test_inversion_power_edge_cases():
 def test_inversion_power_achieves_target_rate(gain, rate):
     """Transmitting at the inversion power meets the rate exactly."""
     power = inversion_power(rate, gain, 1.0, 1.0)
-    achieved = link_rate(gain, LinkBudget(tx_power=power))
+    achieved = link_rate(gain, power)
     assert achieved == pytest.approx(rate, rel=1e-9)
 
 
 def test_link_budget_validation():
-    with pytest.raises(ConfigError, match="tx_power"):
-        LinkBudget(tx_power=-1.0)
-    with pytest.raises(ConfigError, match="noise_var"):
-        LinkBudget(tx_power=1.0, noise_var=0.0)
-    with pytest.raises(ConfigError, match="distance"):
-        LinkBudget(tx_power=1.0, distance=0.0)
+    for kw, key in (
+        (dict(noise_var=0.0), "noise_var"),
+        (dict(noise_var=-1.0), "noise_var"),
+        (dict(distance=0.0), "distance"),
+        (dict(distance=-2.0), "distance"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            SimConfig(**kw).validate()

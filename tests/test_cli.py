@@ -95,6 +95,9 @@ def test_non_finite_value_names_the_key(tmp_path, capsys, flag, value, key):
         (("run", "--distance", "1e-200"), "distance"),
         (("run", "--rate", "600"), "target_rate"),
         (("sweep", "--rates", "1.0,600"), "target_rate"),
+        (("run", "--pr-dbw", "3000", "--slot-duration", "1e300"), "slot_duration"),
+        (("run", "--sigma2", "1e300", "--distance", "1e150"), "noise_var"),
+        (("compare", "--sigma2", "1e300", "--distance", "1e150"), "noise_var"),
     ],
 )
 def test_out_of_range_value_names_the_key(tmp_path, capsys, argv, key):
@@ -489,6 +492,12 @@ def test_trace_into_a_missing_directory(tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "results" / "r.csv.manifest.json").read_text())
     assert manifest["outputs"][1] == str(trace)
     assert run_cli("replay", str(trace)) == 0
+
+
+def test_refused_run_creates_no_trace_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("run", "--messages", "60", "--z", "nan", "--trace", "sub/t.jsonl") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_replay_missing_file_exits_1(tmp_path):

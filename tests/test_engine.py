@@ -109,6 +109,23 @@ def test_config_validation_refuses_out_of_range_derived_constants(kw, key):
         SimConfig(**kw).validate()
 
 
+@pytest.mark.parametrize(
+    "kw,key",
+    [
+        (dict(relay_power_dbw=3000.0, slot_duration=1e300), "slot_duration"),  # fixed cost
+        (dict(noise_var=1e300, distance=1e150), "noise_var"),   # inversion numerator
+        (dict(target_rate=500.0, source_power_dbw=-100.0), "source_power_dbw"),  # threshold
+        (dict(target_rate=500.0, relay_power_dbw=-100.0), "relay_power_dbw"),
+        (dict(relay_power_dbw=3080.0), "initial_energy"),       # 10 x 1e308 J
+    ],
+)
+def test_config_validation_refuses_non_finite_engine_constants(kw, key):
+    with pytest.raises(ConfigError, match=key):
+        SimConfig(**kw).validate()
+    with pytest.raises(ConfigError, match=key):
+        run_trial(SimConfig(n_slots=5, **kw))
+
+
 def test_config_validation_accepts_extreme_but_representable_values():
     cfg = SimConfig(source_power_dbw=3000.0, relay_power_dbw=-3000.0,
                     distance=1e-150, target_rate=500.0, n_slots=20).validate()
@@ -367,9 +384,65 @@ def test_check_invariants_accepts_normal_runs():
 
 def test_check_invariants_flags_corrupted_battery():
     trial = _Trial(srs_cfg())
-    trial.relays[0].battery = -5.0
+    trial.battery[0] = -5.0
     with pytest.raises(InvariantError, match="negative"):
         trial.step(0, [0.5, 0.5], [HI, HI], check=True)
+
+
+def test_unaffordable_forward_is_an_invariant_error():
+    """srs and mrs share one debit site, which refuses to overdraw."""
+    trial = _Trial(srs_cfg())
+    trial.step(0, [0.5, LO], [HI, HI])
+    trial.battery[0] = 9.5   # below the 10 J it was designated with
+    with pytest.raises(InvariantError, match="cannot pay"):
+        trial.step(1, [LO, LO], [HI, HI])
+
+    trial = _Trial(mrs_cfg())
+    trial.step(0, [0.5, LO, LO], [HI, HI, HI])
+    with mock.patch.object(engine, "mrs_final_select", return_value=(0, 1.0, 100.5)):
+        with pytest.raises(InvariantError, match="cannot pay"):
+            trial.step(1, [LO] * 3, [HI] * 3)
+
+
+# Per-Outcome tallies recorded with the per-relay engine this one replaced,
+# in Outcome order (success, no_candidate, decode_fail, no_decoder,
+# no_feasible_power). Counts, not trace digests: the gains in a trace are
+# printed in full and may differ in the last bit between numpy builds.
+PINNED_TALLIES = [
+    (dict(n_relays=5, policy="srs", n_slots=1500, seed=11),
+     [(None, 1.0, [852, 0, 648, 0, 0])]),
+    (dict(n_relays=3, policy="srs", schedule="framed", n_slots=1500, warmup_slots=101,
+          eta=0.1, seed=12),
+     [(None, 0.5, [171, 484, 44, 0, 0]), (None, 1.5, [84, 315, 300, 0, 0])]),
+    (dict(n_relays=4, policy="srs", eta=0.0, initial_energy=200.0, n_slots=1500, seed=13),
+     [(None, 0.0, [80, 1420, 0, 0, 0]), (None, 1.0, [61, 1388, 51, 0, 0])]),
+    (dict(n_relays=5, policy="srs", sense_threshold=0.5, eta=0.05, n_slots=1500,
+          warmup_slots=300, seed=14),
+     [(None, 1.0, [165, 935, 100, 0, 0])]),
+    (dict(n_relays=6, policy="mrs", eta=0.05, n_slots=1500, seed=15),
+     [(1, 1.0, [869, 0, 0, 409, 222]), (3, 1.0, [1004, 0, 0, 31, 465]),
+      (3, 2.0, [288, 0, 0, 695, 517])]),
+    (dict(n_relays=4, policy="mrs", m=2, schedule="framed", sense_threshold=0.5, eta=0.2,
+          n_slots=1501, seed=16),
+     [(2, 1.0, [665, 0, 0, 46, 40])]),
+    (dict(n_relays=5, policy="mrs", eta=0.0, initial_energy=30.0, n_slots=1500,
+          warmup_slots=200, seed=17),
+     [(2, 0.0, [1300, 0, 0, 0, 0]), (4, 1.5, [2, 0, 0, 89, 1209])]),
+    (dict(n_relays=3, policy="mrs", schedule="framed", eta=0.02, slot_duration=0.5,
+          distance=1.3, n_slots=1500, seed=18),
+     [(1, 0.5, [235, 0, 0, 104, 411]), (3, 0.5, [137, 0, 0, 0, 613]),
+      (2, 1.0, [82, 0, 0, 105, 563])]),
+]
+
+
+@pytest.mark.parametrize("base,rows", PINNED_TALLIES)
+def test_outcome_tallies_are_pinned(base, rows):
+    configs = [SimConfig(**{**base, "m": m, "target_rate": rate}) for m, rate, _ in rows]
+    for cfg, counts, (_, _, pinned) in zip(configs, run_batch(configs), rows):
+        expected = dict(zip(Outcome, pinned))
+        tally = Counter(o.result for o in run_trial(cfg))
+        assert {outcome: tally[outcome] for outcome in Outcome} == expected
+        assert counts == expected
 
 
 # -- traces and replay -------------------------------------------------------
