@@ -15,6 +15,8 @@ import numpy as np
 
 # Received power falls off as distance^2; the model hard-codes this exponent.
 PATH_LOSS_EXP = 2
+# The largest gain draw_gain returns: -ln(1 - u) at u = 1 - 2**-53.
+MAX_GAIN = 53 * math.log(2)
 
 
 def dbw_to_watts(x: float) -> float:

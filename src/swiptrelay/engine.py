@@ -34,10 +34,11 @@ config on a list of battery floats; it alone writes and replays traces
 and checks the per-slot energy ledger. run_batch runs K configs that share
 one gain field and differ only in m and target_rate in lockstep: batteries
 and decoder sets are rows of (K, N) arrays, and every row's outcomes equal
-run_trial's for that config bit for bit. At K = 1 a lockstep slot costs
-more than a _Trial slot (about 3x for srs at N = 5, 1.2x for mrs at
-N = 10, M = 4, on a 2-core VM); from K = 2 on it costs less per config,
-so the harness picks the engine by group size.
+run_trial's for that config bit for bit. The harness picks the engine by
+group size: a group of one runs _Trial, larger groups run in lockstep.
+Measured on a 2-core VM (20000 slots), a lockstep run of K configs costs
+5.3x, 2.9x, 2.0x and 1.2x the K separate _Trial runs at K = 1, 2, 3, 5 for
+srs at N = 5, and 3.1x, 1.8x, 1.2x and 0.73x for mrs at N = 10, M = 4.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -53,6 +55,7 @@ import numpy as np
 
 from swiptrelay import __version__
 from swiptrelay.channel import (
+    MAX_GAIN,
     PATH_LOSS_EXP,
     dbw_to_watts,
     draw_gain,
@@ -60,7 +63,7 @@ from swiptrelay.channel import (
     inversion_numerator,
 )
 from swiptrelay.errors import ConfigError, InvariantError
-from swiptrelay.policies import Candidate, mrs_final_select, mrs_preselect, srs_select
+from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 SRS = "srs"
 MRS = "mrs"
@@ -139,9 +142,14 @@ class SimConfig:
         return 10.0 * self.fixed_tx_energy
 
     def validate(self) -> "SimConfig":
-        # NaN slips through every range comparison below, and inf through most
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.type == "str" or (value is None and f.default is None):
+                continue
+            # a str or bool would reach the range comparisons below
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            # NaN slips through every range comparison below, and inf through most
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if not isinstance(self.n_relays, int) or self.n_relays < 1:
@@ -186,13 +194,6 @@ class SimConfig:
                     f"{name} out of range: {getattr(self, name)} makes a derived "
                     "constant overflow or underflow to 0"
                 )
-        # finite factors can still multiply out to inf
-        for name, value in _constants(self)._asdict().items():
-            if not math.isfinite(value):
-                raise ConfigError(
-                    f"{_CONSTANT_KEYS[name]} out of range: together they make "
-                    f"{name} overflow to {value}"
-                )
         if not isinstance(self.n_slots, int) or self.n_slots < 1:
             raise ConfigError(f"n_slots must be a positive integer, got {self.n_slots}")
         if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
@@ -200,6 +201,26 @@ class SimConfig:
         if self.warmup_slots >= self.n_slots:
             raise ConfigError(
                 f"warmup_slots must be < n_slots, got {self.warmup_slots} >= {self.n_slots}"
+            )
+        # finite factors can still multiply out to inf
+        k = _constants(self)
+        for name, value in k._asdict().items():
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{_CONSTANT_KEYS[name]} out of range: together they make "
+                    f"{name} overflow to {value}"
+                )
+        # the most a battery can hold: every slot harvests the largest gain
+        try:
+            peak = k.initial_energy + (
+                (self.n_slots + 1) * k.harvest_scale * MAX_GAIN * self.slot_duration / k.path_loss
+            )
+        except OverflowError:  # an n_slots too large for a float
+            peak = math.inf
+        if not math.isfinite(peak):
+            raise ConfigError(
+                "eta, source_power_dbw, slot_duration, distance and n_slots out of range: "
+                "together they let a battery overflow to inf"
             )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
@@ -246,6 +267,7 @@ class _Constants(NamedTuple):
     numerator: float       # inversion power x gain that meets target_rate
     decode_min: float      # least g_sl at which a listener decodes
     forward_min: float     # least g_ld at which a fixed-power forward arrives
+    tx_power: float        # watts per srs forward
     fixed_cost: float      # joules per srs forward
     harvest_scale: float   # a harvest is harvest_scale * g * slot_duration / path_loss
     path_loss: float
@@ -257,6 +279,7 @@ _CONSTANT_KEYS = {
     "numerator": "target_rate, noise_var and distance",
     "decode_min": "target_rate, noise_var, distance and source_power_dbw",
     "forward_min": "target_rate, noise_var, distance and relay_power_dbw",
+    "tx_power": "relay_power_dbw",
     "fixed_cost": "relay_power_dbw and slot_duration",
     "harvest_scale": "eta and source_power_dbw",
     "path_loss": "distance",
@@ -271,6 +294,7 @@ def _constants(config: SimConfig) -> _Constants:
         numerator=numerator,
         decode_min=numerator / config.source_power_w,
         forward_min=numerator / config.relay_power_w,
+        tx_power=config.relay_power_w,
         fixed_cost=config.fixed_tx_energy,
         harvest_scale=config.eta * config.source_power_w,
         path_loss=config.distance**PATH_LOSS_EXP,
@@ -318,9 +342,6 @@ class _Trial:
         self.pending: tuple[int, tuple[int, ...]] | None = None
         self.next_message = 0
 
-    def _view(self, forwarder: int | None) -> list[Candidate]:
-        return [Candidate(i, b, i != forwarder) for i, b in enumerate(self.battery)]
-
     def step(
         self,
         slot: int,
@@ -352,14 +373,14 @@ class _Trial:
             msg, lam = self.pending
             self.pending = None
             if not mrs:
-                forwarder, tx_power, cost = lam[0], cfg.relay_power_w, k.fixed_cost
+                forwarder, tx_power, cost = lam[0], k.tx_power, k.fixed_cost
                 ok = g_ld[forwarder] >= k.forward_min
                 resolved.append((msg, Outcome.SUCCESS if ok else Outcome.DECODE_FAIL))
             elif not lam:
                 resolved.append((msg, Outcome.NO_DECODER))
             else:
                 pick = mrs_final_select(
-                    lam, self._view(None), {rid: g_ld[rid] for rid in lam},
+                    lam, battery, g_ld,
                     cfg.target_rate, cfg.noise_var, cfg.distance, cfg.slot_duration,
                 )
                 if pick is None:
@@ -378,11 +399,10 @@ class _Trial:
         if do_broadcast:
             msg = self.next_message
             self.next_message += 1
-            view = self._view(forwarder)
             if mrs:
-                designated = sorted(mrs_preselect(view, cfg.m))
+                designated = mrs_preselect(battery, cfg.m, (forwarder,))
             else:
-                pick = srs_select(view, k.fixed_cost)
+                pick = srs_select(battery, k.fixed_cost, (forwarder,))
                 if pick is None:
                     resolved.append((msg, Outcome.NO_CANDIDATE))
                 else:
@@ -665,7 +685,10 @@ def replay_check(trace_path) -> ReplayResult:
             )
         if slot != expected_slot:
             return ReplayResult(False, slot, f"expected slot {expected_slot}")
-        _, computed = trial.step(slot, g_sl, g_ld, want_record=True)
+        try:
+            _, computed = trial.step(slot, g_sl, g_ld, want_record=True)
+        except TypeError as exc:  # a gain that is not a number
+            return ReplayResult(False, slot, f"malformed record (TypeError: {exc})")
         for key in _REPLAY_FIELDS:
             if computed[key] != rec.get(key):
                 return ReplayResult(

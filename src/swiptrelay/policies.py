@@ -1,6 +1,7 @@
 """Relay-selection rules.
 
-Two schemes share one input surface, a snapshot of per-relay candidacy:
+Two schemes read the same input, the list of relay batteries indexed by
+relay id, plus the ids that are busy transmitting this slot:
 
 * single selection (no destination-link CSI): pick the richest relay that
   can afford one fixed-power transmission, before the broadcast arrives;
@@ -15,58 +16,48 @@ are reproducible.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+import math
+from typing import Collection, Sequence
 
-from swiptrelay.channel import inversion_power
-
-
-class Candidate(NamedTuple):
-    """Read-only per-relay snapshot. available means idle this slot."""
-
-    id: int
-    battery: float
-    available: bool
+from swiptrelay.channel import inversion_numerator
 
 
-CandidateView = Sequence[Candidate]
-
-
-def srs_select(view: CandidateView, fixed_cost: float) -> int | None:
+def srs_select(
+    battery: Sequence[float], fixed_cost: float, busy: Collection[int] = ()
+) -> int | None:
     """Relay with the most stored energy among those able to pay fixed_cost.
 
-    Returns None when no available relay can afford the transmission (all
-    relays then stay free to harvest).
+    Relays in busy are skipped. Returns None when no other relay can afford
+    the transmission (all relays then stay free to harvest).
     """
     best = None
-    for cand in view:
-        if not cand.available or cand.battery < fixed_cost:
+    for rid, stored in enumerate(battery):
+        if rid in busy or stored < fixed_cost:
             continue
-        if (
-            best is None
-            or cand.battery > best.battery
-            or (cand.battery == best.battery and cand.id < best.id)
-        ):
-            best = cand
-    return None if best is None else best.id
+        if best is None or stored > battery[best]:
+            best = rid
+    return best
 
 
-def mrs_preselect(view: CandidateView, m: int) -> set[int]:
-    """Ids of the m available relays with the largest stored energy.
+def mrs_preselect(
+    battery: Sequence[float], m: int, busy: Collection[int] = ()
+) -> list[int]:
+    """Sorted ids of the m relays not in busy with the largest stored energy.
 
     Ties at the boundary go to lower ids. When fewer than m relays are
-    available (one may be transmitting), all available relays are taken.
+    free (one may be transmitting), all free relays are taken.
     """
-    ranked = sorted(
-        (cand for cand in view if cand.available),
-        key=lambda cand: (-cand.battery, cand.id),
-    )
-    return {cand.id for cand in ranked[:m]}
+    # a stable sort keeps equal batteries in ascending id order
+    ranked = sorted(range(len(battery)), key=battery.__getitem__, reverse=True)
+    if busy:
+        ranked = [rid for rid in ranked if rid not in busy]
+    return sorted(ranked[:m])
 
 
 def mrs_final_select(
     decoded_ids: Sequence[int],
-    view: CandidateView,
-    gains_to_dest: Mapping[int, float],
+    battery: Sequence[float],
+    gains_to_dest: Sequence[float],
     target_rate: float,
     noise_var: float,
     distance: float,
@@ -74,22 +65,25 @@ def mrs_final_select(
 ) -> tuple[int, float, float] | None:
     """Pick the forwarding relay among the decoders, given destination CSI.
 
-    Each decoder's transmit power is the channel inversion for its own
-    destination gain; the pick maximizes battery minus the resulting energy
-    cost over decoders that can afford it. Returns (relay id, tx power W,
+    gains_to_dest is indexed by relay id. Each decoder's transmit power is
+    the channel inversion for its own destination gain, as in
+    channel.inversion_power; the pick maximizes battery minus the resulting
+    energy cost over decoders that can afford it. Returns (relay id, tx power W,
     energy cost J), or None when no decoder exists or none can pay (a zero
     gain makes that decoder infeasible, not an error).
     """
-    batteries = {cand.id: cand.battery for cand in view}
+    numerator = inversion_numerator(target_rate, noise_var, distance)
+    zero_gain_power = 0.0 if target_rate == 0 else math.inf
     best = None
     best_margin = None
     for rid in sorted(decoded_ids):
-        power = inversion_power(target_rate, gains_to_dest[rid], noise_var, distance)
+        gain = gains_to_dest[rid]
+        power = zero_gain_power if gain == 0 else numerator / gain
         cost = power * slot_duration
-        battery = batteries[rid]
-        if battery < cost:
+        stored = battery[rid]
+        if stored < cost:
             continue
-        margin = battery - cost
+        margin = stored - cost
         if best_margin is None or margin > best_margin:
             best = (rid, power, cost)
             best_margin = margin

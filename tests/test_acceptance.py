@@ -15,6 +15,7 @@ import math
 import random
 import time
 from dataclasses import replace
+from typing import NamedTuple
 
 from swiptrelay.channel import inversion_power
 from swiptrelay.cli import main
@@ -26,7 +27,7 @@ from swiptrelay.harness import (
     optimize_m,
     sweep,
 )
-from swiptrelay.policies import Candidate, mrs_final_select, mrs_preselect, srs_select
+from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 MESSAGES = 20000
 SRS_TRUTH = 1.0 - math.exp(-0.6)                   # 0.45118836...
@@ -165,6 +166,14 @@ def test_5_policy_ordering_across_rates():
     )
 
 
+class Candidate(NamedTuple):
+    """One relay as the brute-force oracles see it."""
+
+    id: int
+    battery: float
+    available: bool
+
+
 def _brute_srs(view, cost):
     eligible = [c for c in view if c.available and c.battery >= cost]
     return max(eligible, key=lambda c: (c.battery, -c.id)).id if eligible else None
@@ -228,15 +237,17 @@ def test_6_invariant_suite():
                       rng.random() < 0.8)
             for i in range(n)
         ]
+        battery = [c.battery for c in view]
+        busy = {c.id for c in view if not c.available}
         cost = rng.choice([0.0, 1.0, 2.0, rng.uniform(0, 12)])
         m = rng.randint(1, n)
         decoded = [c.id for c in view if rng.random() < 0.5]
-        gains = {c.id: rng.choice([0.0, 0.3, rng.uniform(0, 5)]) for c in view}
+        gains = [rng.choice([0.0, 0.3, rng.uniform(0, 5)]) for c in view]
         rate = rng.choice([0.5, 1.0, 2.0])
-        got = mrs_final_select(decoded, view, gains, rate, 1.0, 1.0)
+        got = mrs_final_select(decoded, battery, gains, rate, 1.0, 1.0)
         if (
-            srs_select(view, cost) != _brute_srs(view, cost)
-            or mrs_preselect(view, m) != _brute_preselect(view, m)
+            srs_select(battery, cost, busy) != _brute_srs(view, cost)
+            or mrs_preselect(battery, m, busy) != sorted(_brute_preselect(view, m))
             or (got[0] if got else None) != _brute_final(decoded, view, gains, rate)
         ):
             mismatches += 1

@@ -517,7 +517,16 @@ def test_replay_tampered_trace_exits_1(tmp_path, capsys):
     assert "slot" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_line", ["not json", '{"slot": 2, "g_ld": [1.0]}'])
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "not json",
+        '{"slot": 2, "g_ld": [1.0]}',
+        # gains that are not numbers (the default run has 5 relays)
+        '{"slot": 2, "g_sl": ["a", "a", "a", "a", "a"], "g_ld": [1, 1, 1, 1, 1]}',
+        '{"slot": 2, "g_sl": [null, null, null, null, null], "g_ld": [1, 1, 1, 1, 1]}',
+    ],
+)
 def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
     trace = tmp_path / "t.jsonl"
     run_cli("run", "--messages", "80", "--seed", "5",
@@ -527,3 +536,18 @@ def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
     trace.write_text("\n".join(lines) + "\n")
     assert run_cli("replay", str(trace)) == 1
     assert "replay failed at slot 2: malformed record" in capsys.readouterr().err
+
+
+def test_replay_non_numeric_header_value_exits_1(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    run_cli("run", "--messages", "80", "--seed", "5",
+            "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["config"]["target_rate"] = "abc"
+    lines[0] = json.dumps(header)
+    trace.write_text("\n".join(lines) + "\n")
+    assert run_cli("replay", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert "target_rate must be a number" in err
+    assert "Traceback" not in err

@@ -76,6 +76,14 @@ def mrs_cfg(**kw):
         (dict(seed=-1), "seed"),
         (dict(seed=2**64), "seed"),
         (dict(schedule="duplex"), "schedule"),
+        # not a number, or a bool, where a number belongs
+        (dict(target_rate="abc"), "target_rate must be a number"),
+        (dict(eta=None), "eta must be a number"),
+        (dict(distance=[1.0]), "distance must be a number"),
+        (dict(n_relays=True), "n_relays must be a number"),
+        (dict(policy="mrs", m=False), "m must be a number"),
+        (dict(initial_energy="5"), "initial_energy must be a number"),
+        (dict(seed="1"), "seed must be a number"),
     ],
 )
 def test_config_validation_names_offending_key(kw, key):
@@ -117,6 +125,9 @@ def test_config_validation_refuses_out_of_range_derived_constants(kw, key):
         (dict(target_rate=500.0, source_power_dbw=-100.0), "source_power_dbw"),  # threshold
         (dict(target_rate=500.0, relay_power_dbw=-100.0), "relay_power_dbw"),
         (dict(relay_power_dbw=3080.0), "initial_energy"),       # 10 x 1e308 J
+        # one harvest of a large gain overflows a battery
+        (dict(source_power_dbw=3080.0),
+         "eta, source_power_dbw, slot_duration, distance and n_slots"),
     ],
 )
 def test_config_validation_refuses_non_finite_engine_constants(kw, key):
@@ -127,8 +138,11 @@ def test_config_validation_refuses_non_finite_engine_constants(kw, key):
 
 
 def test_config_validation_accepts_extreme_but_representable_values():
+    # the short slot keeps 1e300 W over a 1e-300 path loss from filling a
+    # battery past the largest float
     cfg = SimConfig(source_power_dbw=3000.0, relay_power_dbw=-3000.0,
-                    distance=1e-150, target_rate=500.0, n_slots=20).validate()
+                    distance=1e-150, target_rate=500.0, slot_duration=1e-300,
+                    n_slots=20).validate()
     assert len(run_trial(cfg)) == cfg.total_messages()
 
 
@@ -529,6 +543,9 @@ def test_replay_result_is_falsy_on_failure():
         lambda rec: json.dumps({k: v for k, v in rec.items() if k != "g_sl"}),
         lambda rec: json.dumps({**rec, "g_ld": rec["g_ld"][:-1]}),
         lambda rec: json.dumps([rec]),
+        lambda rec: json.dumps({**rec, "g_sl": None}),
+        lambda rec: json.dumps({**rec, "g_sl": ["a"] * len(rec["g_sl"])}),
+        lambda rec: json.dumps({**rec, "g_sl": [None] * len(rec["g_sl"])}),
     ],
 )
 def test_replay_reports_malformed_records(tmp_path, edit):

@@ -6,12 +6,27 @@ with no shared code, so a bug in the fast path cannot hide in both.
 
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
 
 from swiptrelay.channel import inversion_power
-from swiptrelay.policies import Candidate, mrs_final_select, mrs_preselect, srs_select
+from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
+
+
+class Candidate(NamedTuple):
+    """One relay as the brute-force oracles see it."""
+
+    id: int
+    battery: float
+    available: bool
+
+
+def _split(view):
+    """The view as the selection rules take it: batteries by id, busy ids."""
+    battery = [c.battery for c in sorted(view, key=lambda c: c.id)]
+    return battery, {c.id for c in view if not c.available}
 
 
 def brute_srs(view, fixed_cost):
@@ -52,46 +67,41 @@ def _random_view(rng, n):
 
 
 def test_srs_picks_richest_affordable():
-    view = [Candidate(0, 5.0, True), Candidate(1, 9.0, True), Candidate(2, 7.0, True)]
-    assert srs_select(view, 6.0) == 1
+    assert srs_select([5.0, 9.0, 7.0], 6.0) == 1
 
 
 def test_srs_skips_unavailable_and_poor():
-    view = [Candidate(0, 9.0, False), Candidate(1, 3.0, True), Candidate(2, 7.0, True)]
-    assert srs_select(view, 5.0) == 2
-    assert srs_select(view, 8.0) is None
+    battery = [9.0, 3.0, 7.0]
+    assert srs_select(battery, 5.0, busy={0}) == 2
+    assert srs_select(battery, 8.0, busy={0}) is None
 
 
 def test_srs_tie_breaks_to_lowest_id():
-    view = [Candidate(0, 5.0, True), Candidate(1, 5.0, True), Candidate(2, 5.0, True)]
-    assert srs_select(view, 1.0) == 0
-    assert srs_select([view[2], view[1], view[0]], 1.0) == 0
+    battery = [5.0, 5.0, 5.0]
+    assert srs_select(battery, 1.0) == 0
+    assert srs_select(battery, 1.0, busy={0}) == 1
 
 
 def test_srs_exact_affordability_counts():
-    assert srs_select([Candidate(0, 5.0, True)], 5.0) == 0
+    assert srs_select([5.0], 5.0) == 0
 
 
 def test_preselect_takes_m_richest():
-    view = [Candidate(0, 1.0, True), Candidate(1, 9.0, True),
-            Candidate(2, 4.0, True), Candidate(3, 6.0, True)]
-    assert mrs_preselect(view, 2) == {1, 3}
+    assert mrs_preselect([1.0, 9.0, 4.0, 6.0], 2) == [1, 3]
 
 
 def test_preselect_boundary_tie_to_lowest_id():
-    view = [Candidate(0, 5.0, True), Candidate(1, 5.0, True), Candidate(2, 9.0, True)]
-    assert mrs_preselect(view, 2) == {2, 0}
+    assert mrs_preselect([5.0, 5.0, 9.0], 2) == [0, 2]
 
 
 def test_preselect_clamps_to_available():
-    view = [Candidate(0, 5.0, False), Candidate(1, 3.0, True)]
-    assert mrs_preselect(view, 2) == {1}
+    assert mrs_preselect([5.0, 3.0], 2, busy={0}) == [1]
 
 
 def test_final_select_maximizes_post_tx_margin():
-    view = [Candidate(0, 20.0, True), Candidate(1, 20.0, True)]
-    gains = {0: 0.3, 1: 3.0}  # costs 10 and 1 at R = 1
-    rid, power, cost = mrs_final_select([0, 1], view, gains, 1.0, 1.0, 1.0)
+    battery = [20.0, 20.0]
+    gains = [0.3, 3.0]  # costs 10 and 1 at R = 1
+    rid, power, cost = mrs_final_select([0, 1], battery, gains, 1.0, 1.0, 1.0)
     assert rid == 1
     assert cost == pytest.approx(1.0)
     assert power == pytest.approx(1.0)
@@ -99,35 +109,35 @@ def test_final_select_maximizes_post_tx_margin():
 
 def test_final_select_margin_beats_raw_battery():
     # relay 0 is richer but its inversion cost eats the advantage
-    view = [Candidate(0, 15.0, True), Candidate(1, 12.0, True)]
-    gains = {0: 0.3, 1: 3.0}  # costs 10 and 1: margins 5 vs 11
-    rid, _, _ = mrs_final_select([0, 1], view, gains, 1.0, 1.0, 1.0)
+    battery = [15.0, 12.0]
+    gains = [0.3, 3.0]  # costs 10 and 1: margins 5 vs 11
+    rid, _, _ = mrs_final_select([0, 1], battery, gains, 1.0, 1.0, 1.0)
     assert rid == 1
 
 
 def test_final_select_skips_unaffordable_and_zero_gain():
-    view = [Candidate(0, 5.0, True), Candidate(1, 30.0, True)]
-    gains = {0: 0.3, 1: 0.0}  # 0 cannot pay 10; 1 needs infinite power
-    assert mrs_final_select([0, 1], view, gains, 1.0, 1.0, 1.0) is None
+    battery = [5.0, 30.0]
+    gains = [0.3, 0.0]  # 0 cannot pay 10; 1 needs infinite power
+    assert mrs_final_select([0, 1], battery, gains, 1.0, 1.0, 1.0) is None
 
 
 def test_final_select_empty_decoders():
-    assert mrs_final_select([], [], {}, 1.0, 1.0, 1.0) is None
+    assert mrs_final_select([], [], [], 1.0, 1.0, 1.0) is None
 
 
 def test_final_select_tie_breaks_to_lowest_id():
-    view = [Candidate(0, 20.0, True), Candidate(1, 20.0, True)]
-    gains = {0: 1.0, 1: 1.0}
-    rid, _, _ = mrs_final_select([1, 0], view, gains, 1.0, 1.0, 1.0)
+    battery = [20.0, 20.0]
+    gains = [1.0, 1.0]
+    rid, _, _ = mrs_final_select([1, 0], battery, gains, 1.0, 1.0, 1.0)
     assert rid == 0
 
 
 def test_final_select_scales_cost_with_slot_duration():
-    view = [Candidate(0, 5.0, True)]
-    gains = {0: 3.0}
+    battery = [5.0]
+    gains = [3.0]
     # power 1 W: affordable for 1 s (cost 1 J), not for 6 s (cost 6 J)
-    assert mrs_final_select([0], view, gains, 1.0, 1.0, 1.0, 1.0) is not None
-    assert mrs_final_select([0], view, gains, 1.0, 1.0, 1.0, 6.0) is None
+    assert mrs_final_select([0], battery, gains, 1.0, 1.0, 1.0, 1.0) is not None
+    assert mrs_final_select([0], battery, gains, 1.0, 1.0, 1.0, 6.0) is None
 
 
 def test_selection_matches_brute_force_on_random_instances():
@@ -136,16 +146,17 @@ def test_selection_matches_brute_force_on_random_instances():
     for _ in range(10_000):
         n = rng.randint(1, 8)
         view = _random_view(rng, n)
+        battery, busy = _split(view)
         cost = rng.choice([0.0, 1.0, 2.0, 5.0, rng.uniform(0, 12)])
-        assert srs_select(view, cost) == brute_srs(view, cost)
+        assert srs_select(battery, cost, busy) == brute_srs(view, cost)
 
         m = rng.randint(1, n)
-        assert mrs_preselect(view, m) == brute_preselect(view, m)
+        assert mrs_preselect(battery, m, busy) == sorted(brute_preselect(view, m))
 
         decoded = [c.id for c in view if rng.random() < 0.5]
-        gains = {c.id: rng.choice([0.0, 0.3, 1.0, rng.uniform(0, 5)]) for c in view}
+        gains = [rng.choice([0.0, 0.3, 1.0, rng.uniform(0, 5)]) for c in view]
         rate = rng.choice([0.5, 1.0, 2.0])
-        got = mrs_final_select(decoded, view, gains, rate, 1.0, 1.0)
+        got = mrs_final_select(decoded, battery, gains, rate, 1.0, 1.0)
         want = brute_final(decoded, view, gains, rate, 1.0, 1.0, 1.0)
         if want is None:
             assert got is None
@@ -161,12 +172,14 @@ def test_selection_matches_brute_force_on_random_instances():
     cost=st.floats(min_value=0.0, max_value=120.0),
 )
 def test_srs_selection_is_order_invariant(batteries, cost):
-    """Shuffling the view never changes the selected relay."""
-    view = [Candidate(i, b, True) for i, b in enumerate(batteries)]
-    pick = srs_select(view, cost)
-    assert srs_select(list(reversed(view)), cost) == pick
+    """Relabeling the relays never changes the selected battery."""
+    pick = srs_select(batteries, cost)
+    mirrored = batteries[::-1]
+    mirrored_pick = srs_select(mirrored, cost)
+    assert (mirrored_pick is None) == (pick is None)
     if pick is not None:
-        assert view[pick].battery >= cost
+        assert batteries[pick] >= cost
+        assert mirrored[mirrored_pick] == batteries[pick]
 
 
 @given(
@@ -176,10 +189,10 @@ def test_srs_selection_is_order_invariant(batteries, cost):
     m=st.integers(min_value=1, max_value=8),
 )
 def test_preselect_never_drops_a_strictly_richer_relay(batteries, m):
-    view = [Candidate(i, b, True) for i, b in enumerate(batteries)]
-    chosen = mrs_preselect(view, m)
-    assert len(chosen) == min(m, len(view))
-    floor = min((view[i].battery for i in chosen), default=-math.inf)
-    for cand in view:
-        if cand.id not in chosen:
-            assert cand.battery <= floor
+    chosen = mrs_preselect(batteries, m)
+    assert len(chosen) == min(m, len(batteries))
+    assert chosen == sorted(chosen)
+    floor = min((batteries[i] for i in chosen), default=-math.inf)
+    for rid, battery in enumerate(batteries):
+        if rid not in chosen:
+            assert battery <= floor
