@@ -14,7 +14,6 @@ from swiptrelay.engine import (
     Outcome,
     ReplayResult,
     SimConfig,
-    SlotOutcome,
     replay_check,
     run_batch,
     run_trial,
@@ -43,7 +42,6 @@ __all__ = [
     "PolicyComparison",
     "ReplayResult",
     "SimConfig",
-    "SlotOutcome",
     "SweepResult",
     "SweepSpec",
     "__version__",

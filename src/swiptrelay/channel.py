@@ -29,23 +29,17 @@ def gain_from_uniform(u):
     return -np.log(u) if isinstance(u, np.ndarray) else -math.log(u)
 
 
-def gain_stream(seed: int, stream: int = 0) -> np.random.Generator:
-    """Independent, reproducible generator for one trial/replication.
-
-    Streams derived from the same seed but different stream indices are
-    statistically independent (SeedSequence spawn keys).
-    """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+def gain_stream(seed: int) -> np.random.Generator:
+    """Reproducible generator of one run's gain field."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
 
 
-def draw_gain(rng: np.random.Generator, size: int | None = None):
-    """Draw i.i.d. squared channel gains |h|^2 ~ Exp(mean 1).
+def draw_gain(rng: np.random.Generator, size) -> np.ndarray:
+    """Draw an array of i.i.d. squared channel gains |h|^2 ~ Exp(mean 1).
 
     rng.random() is uniform on [0, 1); 1-u lands on (0, 1] so the log is
-    always finite. Returns a float, or an ndarray when size is given.
+    always finite.
     """
-    if size is None:
-        return -math.log1p(-rng.random())
     # in place: one buffer per block rather than a temporary per operation
     gains = rng.random(size)
     np.log1p(np.negative(gains, out=gains), out=gains)

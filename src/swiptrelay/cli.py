@@ -191,7 +191,7 @@ def _config_from_params(params: dict) -> SimConfig:
         params["messages"], params["warmup"], params["schedule"]
     )
     fields = {p.field: params[p.key] for p in PARAMS if p.field}
-    return SimConfig(n_slots=n_slots, **fields).validate()
+    return SimConfig(n_slots=n_slots, **fields)
 
 
 def _row(config: SimConfig, estimate) -> dict:

@@ -29,13 +29,15 @@ seed fully determines the gain field and common-random-number couplings
 across parameter values are exact. Gains are drawn GAIN_BLOCK slots at a
 time, which yields the same values as slot-by-slot draws.
 
-Two engines step this state machine. _Trial (via run_trial) runs one
-config on a list of battery floats; it alone writes and replays traces
-and checks the per-slot energy ledger. run_batch runs K configs that share
-one gain field and differ only in m and target_rate in lockstep: batteries
-and decoder sets are rows of (K, N) arrays, and every row's outcomes equal
-run_trial's for that config bit for bit. The harness picks the engine by
-group size: a group of one runs _Trial, larger groups run in lockstep.
+Two engines step this state machine, and both return the same shape: a
+count of each Outcome over the post-warmup messages, every key present.
+_Trial (via run_trial) runs one config on a list of battery floats; it
+alone writes and replays traces and checks the per-slot energy ledger.
+run_batch runs K configs that share one gain field and differ only in m
+and target_rate in lockstep: batteries and decoder sets are rows of (K, N)
+arrays, and every row equals run_trial's count for that config. The
+harness picks the engine by group size: a group of one runs _Trial,
+larger groups run in lockstep.
 Measured on a 2-core VM (20000 slots), a lockstep run of K configs costs
 5.3x, 2.9x, 2.0x and 1.2x the K separate _Trial runs at K = 1, 2, 3, 5 for
 srs at N = 5, and 3.1x, 1.8x, 1.2x and 0.73x for mrs at N = 10, M = 4.
@@ -72,6 +74,7 @@ FRAMED = "framed"
 
 LEDGER_TOL = 1e-9  # absolute per-slot energy-balance tolerance in debug mode
 GAIN_BLOCK = 4096  # slots of gains drawn per generator call
+MAX_SLOTS = 2**53  # the largest count a float holds exactly
 
 
 class Outcome(enum.Enum):
@@ -89,20 +92,15 @@ class Outcome(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SlotOutcome:
-    """One message's resolution."""
-
-    message: int
-    result: Outcome
-
-
-@dataclass
 class SimConfig:
     """All scenario parameters for one simulation run.
 
     Power levels are accepted in dBW (the conventional unit for these
     scenarios) and converted once; everything internal is watts/joules.
     initial_energy None means ten fixed-power transmissions' worth.
+
+    A config is frozen and validated on construction, so every instance,
+    each one dataclasses.replace makes included, has passed validate().
     """
 
     n_relays: int = 5
@@ -121,6 +119,9 @@ class SimConfig:
     warmup_slots: int = 0
     seed: int = 0
     schedule: str = PIPELINED
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def source_power_w(self) -> float:
@@ -196,6 +197,8 @@ class SimConfig:
                 )
         if not isinstance(self.n_slots, int) or self.n_slots < 1:
             raise ConfigError(f"n_slots must be a positive integer, got {self.n_slots}")
+        if self.n_slots > MAX_SLOTS:
+            raise ConfigError("n_slots must be at most 2**53")
         if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
             raise ConfigError(f"warmup_slots must be a non-negative integer, got {self.warmup_slots}")
         if self.warmup_slots >= self.n_slots:
@@ -211,12 +214,9 @@ class SimConfig:
                     f"{name} overflow to {value}"
                 )
         # the most a battery can hold: every slot harvests the largest gain
-        try:
-            peak = k.initial_energy + (
-                (self.n_slots + 1) * k.harvest_scale * MAX_GAIN * self.slot_duration / k.path_loss
-            )
-        except OverflowError:  # an n_slots too large for a float
-            peak = math.inf
+        peak = k.initial_energy + (
+            (self.n_slots + 1) * k.harvest_scale * MAX_GAIN * self.slot_duration / k.path_loss
+        )
         if not math.isfinite(peak):
             raise ConfigError(
                 "eta, source_power_dbw, slot_duration, distance and n_slots out of range: "
@@ -306,9 +306,10 @@ def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
     """Slot count that yields exactly `messages` post-warmup messages."""
     if messages < 1:
         raise ConfigError(f"messages must be >= 1, got {messages}")
-    if schedule == PIPELINED:
-        return warmup_slots + messages
-    return warmup_slots + 2 * messages
+    slots = warmup_slots + (messages if schedule == PIPELINED else 2 * messages)
+    if slots > MAX_SLOTS:
+        raise ConfigError("messages out of range: with the warmup they take more than 2**53 slots")
+    return slots
 
 
 def _gain_blocks(config: SimConfig):
@@ -458,17 +459,18 @@ def run_trial(
     *,
     trace_path=None,
     check_invariants: bool = False,
-) -> list[SlotOutcome]:
-    """Simulate one seeded run and return post-warmup message outcomes.
+) -> dict[Outcome, int]:
+    """Simulate one seeded run and count its post-warmup message outcomes.
 
-    Output is a pure function of the config (seed included): same config,
-    same outcomes, bit for bit. With trace_path set, one JSON record per
-    slot is written (config header first) for later replay_check.
+    Returns the count of each Outcome, every key present: the shape of one
+    run_batch row. Output is a pure function of the config (seed included).
+    With trace_path set, one JSON record per slot is written (config header
+    first) for later replay_check; its outcomes field holds each message's
+    resolution.
     """
-    config.validate()
     trial = _Trial(config)
     warmup = config.warmup_messages()
-    outcomes: list[SlotOutcome] = []
+    tally = dict.fromkeys(Outcome, 0)
     writer = None
     if trace_path is not None:
         directory = Path(trace_path).parent
@@ -494,14 +496,14 @@ def run_trial(
                 )
                 for msg, result in resolved:
                     if msg >= warmup:
-                        outcomes.append(SlotOutcome(msg, result))
+                        tally[result] += 1
                 if writer is not None:
                     writer.write(json.dumps(record) + "\n")
                 slot += 1
     finally:
         if writer is not None:
             writer.close()
-    return outcomes
+    return tally
 
 
 _BATCH_AXES = ("m", "target_rate")
@@ -522,16 +524,16 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     """Simulate configs that differ only in m and target_rate, in lockstep.
 
     Returns, per config, the count of each Outcome over its post-warmup
-    messages: exactly a tally of run_trial(config)'s outcomes. Per-config
-    constants are _Trial's Python floats, and ties break toward the lowest
-    relay id as in the policies module.
+    messages: exactly run_trial(config). Per-config constants are _Trial's
+    Python floats, and ties break toward the lowest relay id as in the
+    policies module.
     """
     if not configs:
         raise ConfigError("run_batch needs at least one config")
     first = configs[0]
-    key = batch_key(first.validate())
+    key = batch_key(first)
     for cfg in configs[1:]:
-        if batch_key(cfg.validate()) != key:
+        if batch_key(cfg) != key:
             raise ConfigError("run_batch configs may differ only in m and target_rate")
     k, n = len(configs), first.n_relays
     mrs = first.policy == MRS
@@ -650,6 +652,7 @@ class ReplayResult:
 
 
 _REPLAY_FIELDS = ("forwarder", "tx_power", "designated", "decoded", "outcomes", "battery")
+_GAIN_TYPES = frozenset((float, int))  # what json.loads makes of a number; bool is neither
 
 
 def replay_check(trace_path) -> ReplayResult:
@@ -669,7 +672,7 @@ def replay_check(trace_path) -> ReplayResult:
         config_data = None
     if not isinstance(config_data, dict):
         return ReplayResult(False, None, "missing config header")
-    config = SimConfig.from_dict(config_data).validate()
+    config = SimConfig.from_dict(config_data)
     n = config.n_relays
     trial = _Trial(config)
     expected_slot = 0
@@ -679,16 +682,17 @@ def replay_check(trace_path) -> ReplayResult:
             slot, g_sl, g_ld = rec["slot"], rec["g_sl"], rec["g_ld"]
             if len(g_sl) != n or len(g_ld) != n:
                 raise ValueError(f"gain lists must have {n} entries")
-        except (ValueError, KeyError, TypeError) as exc:
+            # every gain, read by this slot's rules or not; map keeps it cheap
+            gains = g_sl + g_ld
+            if not (_GAIN_TYPES.issuperset(map(type, gains)) and all(map(math.isfinite, gains))):
+                raise ValueError("gains must be finite numbers")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             return ReplayResult(
                 False, expected_slot, f"malformed record ({type(exc).__name__}: {exc})"
             )
         if slot != expected_slot:
             return ReplayResult(False, slot, f"expected slot {expected_slot}")
-        try:
-            _, computed = trial.step(slot, g_sl, g_ld, want_record=True)
-        except TypeError as exc:  # a gain that is not a number
-            return ReplayResult(False, slot, f"malformed record (TypeError: {exc})")
+        _, computed = trial.step(slot, g_sl, g_ld, want_record=True)
         for key in _REPLAY_FIELDS:
             if computed[key] != rec.get(key):
                 return ReplayResult(

@@ -12,6 +12,10 @@ in rate and pre-selection size. A job of two or more points steps them in
 lockstep (engine.run_batch); a single point runs the scalar engine. Jobs
 go to a process pool only when there are two or more of them and more
 than one worker; otherwise they run in this process.
+
+Both engines return a count of each Outcome per config, and _summarize is
+the one place that turns such a count into an OutageEstimate. Configs
+arrive validated: a SimConfig is checked when it is constructed.
 """
 
 from __future__ import annotations
@@ -54,14 +58,10 @@ def estimate_outage(
     config: SimConfig, z: float = 3.0, trace_path=None
 ) -> OutageEstimate:
     """Run one trial and summarize its post-warmup outage count."""
-    config.validate()
     _check_z(z)
-    messages = config.message_count()
-    if messages < 1:
+    if config.message_count() < 1:
         raise ConfigError("config yields no post-warmup messages")
-    outcomes = run_trial(config, trace_path=trace_path)
-    outages = sum(1 for o in outcomes if o.result is not Outcome.SUCCESS)
-    return _summarize(outages, messages, z)
+    return _summarize(run_trial(config, trace_path=trace_path), z)
 
 
 def _check_z(z: float) -> None:
@@ -70,7 +70,10 @@ def _check_z(z: float) -> None:
         raise ConfigError(f"z must be finite and > 0, got {z}")
 
 
-def _summarize(outages: int, messages: int, z: float) -> OutageEstimate:
+def _summarize(tally: dict[Outcome, int], z: float) -> OutageEstimate:
+    """Outage estimate from one config's count of each Outcome."""
+    messages = sum(tally.values())
+    outages = messages - tally[Outcome.SUCCESS]
     p_hat = outages / messages
     halfwidth = z * math.sqrt(p_hat * (1.0 - p_hat) / messages)
     return OutageEstimate(outages, messages, p_hat, halfwidth)
@@ -111,7 +114,6 @@ class SweepResult:
 
 def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
     base = spec.base
-    base.validate()
     _check_z(spec.z)
     if not isinstance(spec.workers, int) or spec.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {spec.workers}")
@@ -137,20 +139,15 @@ def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
                         n_slots=n_slots,
                         seed=derive_seed(base.seed, key),
                     )
-                    configs.append(cfg.validate())
+                    configs.append(cfg)
     return configs
 
 
 def _estimate_job(args: tuple[list[SimConfig], float]) -> list[OutageEstimate]:
     """Estimates for configs that share one gain field."""
     configs, z = args
-    if len(configs) == 1:
-        return [estimate_outage(configs[0], z=z)]
-    estimates = []
-    for config, counts in zip(configs, run_batch(configs)):
-        outages = sum(c for outcome, c in counts.items() if outcome is not Outcome.SUCCESS)
-        estimates.append(_summarize(outages, config.message_count(), z))
-    return estimates
+    tallies = [run_trial(configs[0])] if len(configs) == 1 else run_batch(configs)
+    return [_summarize(tally, z) for tally in tallies]
 
 
 def sweep(spec: SweepSpec) -> list[SweepResult]:
@@ -200,7 +197,6 @@ def optimize_m(
     All sizes share one gain field (paired comparison); ties go to the
     smaller size, which also costs less coordination.
     """
-    base.validate()
     if m_values is None:
         m_values = range(1, base.n_relays + 1)
     m_values = list(m_values)
@@ -245,7 +241,6 @@ def compare_policies(
     M* is chosen once, at the base config's target rate. All three curves
     share gain fields point by point, so ordering checks are paired.
     """
-    base.validate()
     if rates is None:
         if n_points < 2:
             raise ConfigError(f"n_points must be >= 2, got {n_points}")

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -98,11 +99,16 @@ def test_non_finite_value_names_the_key(tmp_path, capsys, flag, value, key):
         (("run", "--pr-dbw", "3000", "--slot-duration", "1e300"), "slot_duration"),
         (("run", "--sigma2", "1e300", "--distance", "1e150"), "noise_var"),
         (("compare", "--sigma2", "1e300", "--distance", "1e150"), "noise_var"),
+        # a count no run could reach names the count, not the physics
+        (("run", "--messages", "1" + "0" * 400), "messages out of range"),
+        (("sweep", "--rates", "0.5,1.0", "--messages", "1" + "0" * 400),
+         "messages out of range"),
     ],
 )
 def test_out_of_range_value_names_the_key(tmp_path, capsys, argv, key):
     out = tmp_path / "r.csv"
-    assert run_cli(*argv, "--messages", "10", "--out", str(out)) == 1
+    messages = () if "--messages" in argv else ("--messages", "10")
+    assert run_cli(*argv, *messages, "--out", str(out)) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
 
@@ -517,6 +523,12 @@ def test_replay_tampered_trace_exits_1(tmp_path, capsys):
     assert "slot" in capsys.readouterr().err
 
 
+def _unread_g_ld(rec, value):
+    """rec as a JSON line, with every g_ld entry but the forwarder's set to value."""
+    g_ld = [g if rid == rec["forwarder"] else value for rid, g in enumerate(rec["g_ld"])]
+    return json.dumps({**rec, "g_ld": g_ld})
+
+
 @pytest.mark.parametrize(
     "bad_line",
     [
@@ -525,6 +537,10 @@ def test_replay_tampered_trace_exits_1(tmp_path, capsys):
         # gains that are not numbers (the default run has 5 relays)
         '{"slot": 2, "g_sl": ["a", "a", "a", "a", "a"], "g_ld": [1, 1, 1, 1, 1]}',
         '{"slot": 2, "g_sl": [null, null, null, null, null], "g_ld": [1, 1, 1, 1, 1]}',
+        # gains that no rule of the slot reads: all but the forwarder's g_ld
+        pytest.param(lambda rec: _unread_g_ld(rec, "a"), id="unread g_ld string"),
+        pytest.param(lambda rec: _unread_g_ld(rec, math.nan), id="unread g_ld NaN"),
+        pytest.param(lambda rec: _unread_g_ld(rec, True), id="unread g_ld true"),
     ],
 )
 def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
@@ -532,6 +548,8 @@ def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
     run_cli("run", "--messages", "80", "--seed", "5",
             "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
     lines = trace.read_text().splitlines()
+    if callable(bad_line):
+        bad_line = bad_line(json.loads(lines[3]))
     lines[3] = bad_line   # the record of slot 2
     trace.write_text("\n".join(lines) + "\n")
     assert run_cli("replay", str(trace)) == 1

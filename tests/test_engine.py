@@ -9,8 +9,7 @@ per broadcast.
 
 import json
 import math
-from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -84,6 +83,8 @@ def mrs_cfg(**kw):
         (dict(policy="mrs", m=False), "m must be a number"),
         (dict(initial_energy="5"), "initial_energy must be a number"),
         (dict(seed="1"), "seed must be a number"),
+        # a count too large to run, refused as such
+        (dict(n_slots=10**400), "n_slots must be at most"),
     ],
 )
 def test_config_validation_names_offending_key(kw, key):
@@ -143,7 +144,35 @@ def test_config_validation_accepts_extreme_but_representable_values():
     cfg = SimConfig(source_power_dbw=3000.0, relay_power_dbw=-3000.0,
                     distance=1e-150, target_rate=500.0, slot_duration=1e-300,
                     n_slots=20).validate()
-    assert len(run_trial(cfg)) == cfg.total_messages()
+    assert sum(run_trial(cfg).values()) == cfg.total_messages()
+
+
+def test_config_is_validated_on_construction_and_replace():
+    with pytest.raises(ConfigError, match="eta"):
+        SimConfig(eta=1.5)
+    with pytest.raises(ConfigError, match="warmup_slots"):
+        SimConfig.from_dict({"n_slots": 5, "warmup_slots": 5})
+    cfg = SimConfig(n_slots=100)
+    for kw, key in (
+        (dict(eta=1.5), "eta"),
+        (dict(policy="mrs"), "m"),
+        (dict(n_slots=0), "n_slots"),
+        (dict(warmup_slots=100), "warmup_slots"),
+        (dict(distance=math.nan), "distance"),
+        (dict(source_power_dbw=3080.0), "source_power_dbw"),
+    ):
+        with pytest.raises(ConfigError, match=key):
+            replace(cfg, **kw)
+    assert replace(cfg, policy="mrs", m=2).m == 2
+
+
+def test_config_is_frozen():
+    cfg = SimConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.eta = 1.5
+    with pytest.raises(FrozenInstanceError):
+        cfg.n_slots = 0
+    assert cfg == SimConfig()
 
 
 def test_config_derived_quantities():
@@ -306,14 +335,47 @@ def test_mrs_gamma_members_do_not_harvest():
 # -- schedules, warmup, determinism -----------------------------------------
 
 
-def test_pipelined_yields_one_message_per_slot():
-    outcomes = run_trial(SimConfig(n_slots=7, seed=1))
-    assert [o.message for o in outcomes] == list(range(7))
+def _message_outcomes(cfg, trace):
+    """(message, Outcome) of each post-warmup message in resolution order,
+    read from the trace of a run, after checking them against its count."""
+    tally = run_trial(cfg, trace_path=trace)
+    warmup = cfg.warmup_messages()
+    pairs = [
+        (msg, Outcome(value))
+        for line in trace.read_text().splitlines()[1:]
+        for msg, value in json.loads(line)["outcomes"]
+        if msg >= warmup
+    ]
+    assert tally == {outcome: sum(r is outcome for _, r in pairs) for outcome in Outcome}
+    return pairs
 
 
-def test_framed_yields_one_message_per_two_slots():
-    outcomes = run_trial(SimConfig(n_slots=8, seed=1, schedule="framed"))
-    assert [o.message for o in outcomes] == list(range(4))
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(n_slots=300, seed=3),
+        dict(n_slots=301, seed=4, schedule="framed"),
+        dict(n_slots=300, warmup_slots=57, seed=5, eta=0.05),
+        dict(n_slots=301, warmup_slots=57, seed=6, schedule="framed"),
+        dict(n_relays=4, policy="mrs", m=2, n_slots=300, warmup_slots=20, seed=7, eta=0.05),
+    ],
+)
+def test_run_trial_counts_every_post_warmup_message(kw):
+    cfg = SimConfig(**kw)
+    tally = run_trial(cfg)
+    assert list(tally) == list(Outcome)
+    assert all(type(count) is int for count in tally.values())
+    assert sum(tally.values()) == cfg.message_count()
+
+
+def test_pipelined_yields_one_message_per_slot(tmp_path):
+    outcomes = _message_outcomes(SimConfig(n_slots=7, seed=1), tmp_path / "t.jsonl")
+    assert [msg for msg, _ in outcomes] == list(range(7))
+
+
+def test_framed_yields_one_message_per_two_slots(tmp_path):
+    cfg = SimConfig(n_slots=8, seed=1, schedule="framed")
+    assert [msg for msg, _ in _message_outcomes(cfg, tmp_path / "t.jsonl")] == list(range(4))
 
 
 def test_framed_odd_slot_count_drains_the_last_message(tmp_path):
@@ -322,8 +384,7 @@ def test_framed_odd_slot_count_drains_the_last_message(tmp_path):
     # leaves a pending message for the drain slot to resolve
     cfg = SimConfig(n_slots=1, seed=3, schedule="framed", n_relays=1,
                     initial_energy=1e6, target_rate=0.0)
-    outcomes = run_trial(cfg, trace_path=trace)
-    assert len(outcomes) == 1
+    assert sum(run_trial(cfg, trace_path=trace).values()) == 1
     lines = trace.read_text().splitlines()
     # header + broadcast slot + forward-only drain slot
     assert len(lines) == 3
@@ -331,22 +392,24 @@ def test_framed_odd_slot_count_drains_the_last_message(tmp_path):
     assert replay_check(trace).ok
 
 
-def test_warmup_discards_early_messages():
+def test_warmup_discards_early_messages(tmp_path):
     cfg = SimConfig(n_slots=10, warmup_slots=4, seed=2)
-    outcomes = run_trial(cfg)
-    assert [o.message for o in outcomes] == [4, 5, 6, 7, 8, 9]
+    outcomes = _message_outcomes(cfg, tmp_path / "p.jsonl")
+    assert [msg for msg, _ in outcomes] == [4, 5, 6, 7, 8, 9]
     framed = SimConfig(n_slots=10, warmup_slots=3, seed=2, schedule="framed")
-    assert [o.message for o in run_trial(framed)] == [2, 3, 4]
+    assert [msg for msg, _ in _message_outcomes(framed, tmp_path / "f.jsonl")] == [2, 3, 4]
 
 
-def test_run_trial_is_deterministic():
+def test_run_trial_is_deterministic(tmp_path):
     cfg = mrs_cfg(n_slots=400, seed=77, schedule="pipelined")
     assert run_trial(cfg) == run_trial(cfg)
+    a = _message_outcomes(cfg, tmp_path / "a.jsonl")
+    assert a == _message_outcomes(cfg, tmp_path / "b.jsonl")
 
 
-def test_different_seeds_differ():
-    a = run_trial(SimConfig(n_slots=200, seed=1))
-    b = run_trial(SimConfig(n_slots=200, seed=2))
+def test_different_seeds_differ(tmp_path):
+    a = _message_outcomes(SimConfig(n_slots=200, seed=1), tmp_path / "a.jsonl")
+    b = _message_outcomes(SimConfig(n_slots=200, seed=2), tmp_path / "b.jsonl")
     assert a != b
 
 
@@ -361,14 +424,16 @@ def test_same_seed_same_gain_field_across_rates(tmp_path):
     assert gains[0.5] == gains[2.0]
 
 
-def test_per_message_outage_monotone_in_rate_when_selection_is_fixed():
+def test_per_message_outage_monotone_in_rate_when_selection_is_fixed(tmp_path):
     """Framed single-relay: each message is an isolated two-hop threshold
     test, so raising the rate can only turn successes into outages."""
     fails = {}
     for rate in (0.5, 1.0, 2.0):
         cfg = SimConfig(n_relays=1, n_slots=4000, seed=11, schedule="framed",
                         initial_energy=1e12, target_rate=rate)
-        fails[rate] = [o.result is not Outcome.SUCCESS for o in run_trial(cfg)]
+        outcomes = _message_outcomes(cfg, tmp_path / f"{rate}.jsonl")
+        assert [msg for msg, _ in outcomes] == list(range(2000))
+        fails[rate] = [result is not Outcome.SUCCESS for _, result in outcomes]
     for lo, hi in ((0.5, 1.0), (1.0, 2.0)):
         assert all(a <= b for a, b in zip(fails[lo], fails[hi]))
 
@@ -376,10 +441,7 @@ def test_per_message_outage_monotone_in_rate_when_selection_is_fixed():
 def test_aggregate_outage_monotone_in_rate_with_battery_feedback():
     rates = (0.5, 1.0, 2.0)
     cfg = lambda r: SimConfig(n_relays=3, n_slots=4000, seed=13, target_rate=r)
-    ps = [
-        sum(o.result is not Outcome.SUCCESS for o in run_trial(cfg(r))) / 4000
-        for r in rates
-    ]
+    ps = [(4000 - run_trial(cfg(r))[Outcome.SUCCESS]) / 4000 for r in rates]
     assert ps[0] <= ps[1] <= ps[2]
 
 
@@ -454,8 +516,7 @@ def test_outcome_tallies_are_pinned(base, rows):
     configs = [SimConfig(**{**base, "m": m, "target_rate": rate}) for m, rate, _ in rows]
     for cfg, counts, (_, _, pinned) in zip(configs, run_batch(configs), rows):
         expected = dict(zip(Outcome, pinned))
-        tally = Counter(o.result for o in run_trial(cfg))
-        assert {outcome: tally[outcome] for outcome in Outcome} == expected
+        assert run_trial(cfg) == expected
         assert counts == expected
 
 
@@ -536,22 +597,32 @@ def test_replay_result_is_falsy_on_failure():
     assert ReplayResult(True)
 
 
+def _unread(rec, prev, value):
+    """rec's g_ld with value in every entry no rule reads: an mrs forward
+    reads the g_ld of the previous slot's decoders only."""
+    return [g if rid in prev["decoded"] else value for rid, g in enumerate(rec["g_ld"])]
+
+
 @pytest.mark.parametrize(
     "edit",
     [
-        lambda rec: "not json",
-        lambda rec: json.dumps({k: v for k, v in rec.items() if k != "g_sl"}),
-        lambda rec: json.dumps({**rec, "g_ld": rec["g_ld"][:-1]}),
-        lambda rec: json.dumps([rec]),
-        lambda rec: json.dumps({**rec, "g_sl": None}),
-        lambda rec: json.dumps({**rec, "g_sl": ["a"] * len(rec["g_sl"])}),
-        lambda rec: json.dumps({**rec, "g_sl": [None] * len(rec["g_sl"])}),
+        lambda rec, prev: "not json",
+        lambda rec, prev: json.dumps({k: v for k, v in rec.items() if k != "g_sl"}),
+        lambda rec, prev: json.dumps({**rec, "g_ld": rec["g_ld"][:-1]}),
+        lambda rec, prev: json.dumps([rec]),
+        lambda rec, prev: json.dumps({**rec, "g_sl": None}),
+        lambda rec, prev: json.dumps({**rec, "g_sl": ["a"] * len(rec["g_sl"])}),
+        lambda rec, prev: json.dumps({**rec, "g_sl": [None] * len(rec["g_sl"])}),
+        # gains that no rule of this slot reads
+        lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, "a")}),
+        lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, math.nan)}),
+        lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, True)}),
     ],
 )
 def test_replay_reports_malformed_records(tmp_path, edit):
     path = _write_trace(tmp_path)
     lines = path.read_text().splitlines()
-    lines[5] = edit(json.loads(lines[5]))   # the record of slot 4
+    lines[5] = edit(json.loads(lines[5]), json.loads(lines[4]))   # the record of slot 4
     path.write_text("\n".join(lines) + "\n")
     result = replay_check(path)
     assert not result.ok
@@ -591,6 +662,7 @@ def gain_field_groups(draw):
     base = SimConfig(
         n_relays=n,
         policy=policy,
+        m=1 if policy == "mrs" else None,
         eta=draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0])),
         source_power_dbw=draw(st.sampled_from([0.0, 10.0, 13.0])),
         relay_power_dbw=draw(st.sampled_from([0.0, 10.0])),
@@ -628,9 +700,8 @@ def test_run_batch_counts_equal_run_trial_tallies(configs, block, draw):
         engine, "draw_gain", draw
     ):
         batch = run_batch(configs)
-        tallies = [Counter(o.result for o in run_trial(cfg)) for cfg in configs]
-    for counts, tally in zip(batch, tallies):
-        assert counts == {outcome: tally[outcome] for outcome in Outcome}
+        tallies = [run_trial(cfg) for cfg in configs]
+    assert batch == tallies
 
 
 def test_run_batch_refuses_configs_outside_one_gain_field():

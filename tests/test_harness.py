@@ -1,5 +1,6 @@
 """Estimation, sweep grids, seed derivation, M* search, policy comparison."""
 
+import json
 import logging
 import math
 from dataclasses import replace
@@ -22,11 +23,17 @@ from swiptrelay.harness import (
 FRAMED_1 = SimConfig(n_relays=1, schedule="framed", initial_energy=1e12)
 
 
-def test_estimate_matches_manual_count():
+def test_estimate_matches_manual_count(tmp_path):
     cfg = replace(FRAMED_1, n_slots=2000, seed=6)
     est = estimate_outage(cfg)
-    outcomes = run_trial(cfg)
-    outages = sum(o.result is not Outcome.SUCCESS for o in outcomes)
+    # count each message's outcome as the trace records it
+    trace = tmp_path / "t.jsonl"
+    run_trial(cfg, trace_path=trace)
+    outages = sum(
+        result != Outcome.SUCCESS.value
+        for line in trace.read_text().splitlines()[1:]
+        for _, result in json.loads(line)["outcomes"]
+    )
     assert est.messages == 1000
     assert est.outages == outages
     assert est.p_hat == outages / 1000
