@@ -153,6 +153,13 @@ class SimConfig:
             # NaN slips through every range comparison below, and inf through most
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
+            # the messages below print the value, and str() refuses an int of
+            # more digits than sys.get_int_max_str_digits()
+            try:
+                str(value)
+            except ValueError:
+                bits = value.bit_length()
+                raise ConfigError(f"{f.name} out of range: an integer of {bits} bits") from None
         if not isinstance(self.n_relays, int) or self.n_relays < 1:
             raise ConfigError(f"n_relays must be a positive integer, got {self.n_relays}")
         if self.policy not in (SRS, MRS):
@@ -560,9 +567,11 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     decoders = np.zeros((k, n), bool)    # mrs: the pending message's decoders
     has_pending = np.zeros(k, bool)      # srs: rows with a pending message
     holder = np.zeros(k, np.intp)        # srs: its designated decoder
-    codes = np.full((first.total_messages(), k), -1, np.int8)  # -1: unresolved
-    message = 0
-    slot = 0
+    # one gain block's outcome codes, -1 while unresolved: row i is message held + i
+    codes = np.full((min(GAIN_BLOCK, n_slots) + 1, k), -1, np.int8)
+    counts = np.zeros((k, len(_OUTCOMES)), np.int64)
+    warmup = first.warmup_messages()
+    message = held = slot = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for g_sl, g_ld in _gain_blocks(first):
             harvest = shared.harvest_scale * g_sl * slot_duration / shared.path_loss
@@ -582,7 +591,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                         payer = np.where(feasible, battery - cost, -np.inf).argmax(1)
                         cell = offsets + payer
                         pays = feasible.reshape(-1)[cell]
-                        codes[message - 1] = np.where(
+                        codes[message - 1 - held] = np.where(
                             pays,
                             _SUCCESS,
                             np.where(_any(decoders, 1), _NO_FEASIBLE, _NO_DECODER),
@@ -593,7 +602,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                         cell = offsets + holder
                         delivered = g_ld[b][holder] >= forward_min
                         np.copyto(
-                            codes[message - 1],
+                            codes[message - 1 - held],
                             np.where(delivered, _SUCCESS, _DECODE_FAIL),
                             where=has_pending,
                         )
@@ -622,7 +631,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                         designated = eligible.reshape(-1)[offsets + holder]
                         listening = (ids == holder[:, None]) & designated[:, None]
                         has_pending = designated & (g_sl[b][holder] >= decode_min[:, 0])
-                        codes[message] = np.where(
+                        codes[message - held] = np.where(
                             designated, np.where(has_pending, -1, _DECODE_FAIL), _NO_CANDIDATE
                         )
                         pending = bool(_any(has_pending))
@@ -630,13 +639,17 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                     battery += np.where(available ^ listening, harvest[b], 0.0)
                     message += 1
                 slot += 1
-    counted = codes[first.warmup_messages():]
-    if _any(counted < 0, None):
-        raise InvariantError("a message was left without an outcome")
-    return [
-        dict(zip(_OUTCOMES, np.bincount(counted[:, row], minlength=len(_OUTCOMES)).tolist()))
-        for row in range(k)
-    ]
+            # tally the resolved messages; a pending one moves to row 0
+            last = message - 1 if pending else message
+            counted = codes[max(warmup - held, 0):last - held]
+            if _any(counted < 0, None):
+                raise InvariantError("a message was left without an outcome")
+            for row in range(k):
+                counts[row] += np.bincount(counted[:, row], minlength=len(_OUTCOMES))
+            codes[0] = codes[last - held] if pending else -1
+            codes[1:] = -1
+            held = last
+    return [dict(zip(_OUTCOMES, row)) for row in counts.tolist()]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,9 @@ A sweep runs as one job per gain field: the grid points that differ only
 in rate and pre-selection size. A job of two or more points steps them in
 lockstep (engine.run_batch); a single point runs the scalar engine. Jobs
 go to a process pool only when there are two or more of them and more
-than one worker; otherwise they run in this process.
+than one worker; otherwise they run in this process. compare_policies is
+one mrs sweep over M = 1..N x rates (M* and both mrs curves) plus the srs
+curve: two lockstep runs.
 
 Both engines return a count of each Outcome per config, and _summarize is
 the one place that turns such a count into an OutageEstimate. Configs
@@ -185,6 +187,18 @@ class MStarResult:
     results: list[SweepResult]
 
 
+def _mrs_grid(base: SimConfig, ms: Sequence[int], rates: list[float], messages: int, z: float,
+              workers: int) -> tuple[int, list[list[SweepResult]]]:
+    """One mrs sweep over ms x rates on one gain field. Returns M*, the size
+    of least outage at base.target_rate (one of rates), and each size's row."""
+    results = sweep(SweepSpec(base=replace(base, policy=MRS, m=ms[0]), rates=rates, ms=ms,
+                              messages=messages, z=z, workers=workers))
+    rows = [results[i:i + len(rates)] for i in range(0, len(results), len(rates))]
+    at_base = rates.index(base.target_rate)
+    best = min(range(len(ms)), key=lambda i: (rows[i][at_base].estimate.p_hat, ms[i]))
+    return ms[best], rows
+
+
 def optimize_m(
     base: SimConfig,
     m_values: Sequence[int] | None = None,
@@ -202,12 +216,8 @@ def optimize_m(
     m_values = list(m_values)
     if not m_values:
         raise ConfigError("m_values must be non-empty")
-    mrs_base = replace(base, policy=MRS, m=m_values[0])
-    results = sweep(
-        SweepSpec(base=mrs_base, ms=m_values, messages=messages, z=z, workers=workers)
-    )
-    best = min(range(len(results)), key=lambda i: (results[i].estimate.p_hat, m_values[i]))
-    return MStarResult(m_values[best], results)
+    m_star, rows = _mrs_grid(base, m_values, [base.target_rate], messages, z, workers)
+    return MStarResult(m_star, [row[0] for row in rows])
 
 
 @dataclass(frozen=True)
@@ -238,40 +248,27 @@ def compare_policies(
 ) -> PolicyComparison:
     """Estimate outage vs rate for srs, mrs with M=1, and mrs with M=M*.
 
-    M* is chosen once, at the base config's target rate. All three curves
-    share gain fields point by point, so ordering checks are paired.
+    One mrs sweep over M = 1..N x the rates gives M*, chosen at the base
+    config's target rate (a column added if the rates lack it), and both
+    mrs curves; one srs sweep gives the srs curve. Every point shares one
+    gain field, so ordering checks are paired, and each config is the one
+    optimize_m or a sweep of one curve would run.
     """
     if rates is None:
         if n_points < 2:
             raise ConfigError(f"n_points must be >= 2, got {n_points}")
         rates = np.linspace(0.5, 2.5, n_points).tolist()
     rates = [float(r) for r in rates]
-    star = optimize_m(base, messages=messages, z=z, workers=workers)
-    variants = {
-        SRS: replace(base, policy=SRS, m=None),
-        "mrs_single": replace(base, policy=MRS, m=1),
-        "mrs_star": replace(base, policy=MRS, m=star.m_star),
-    }
-    curves = {
-        name: sweep(
-            SweepSpec(base=cfg, rates=rates, messages=messages, z=z, workers=workers)
-        )
-        for name, cfg in variants.items()
-    }
-    single_ok = []
-    star_ok = []
-    for i in range(len(rates)):
-        p_srs = curves[SRS][i].estimate
-        p_one = curves["mrs_single"][i].estimate
-        p_star = curves["mrs_star"][i].estimate
+    grid_rates = rates if base.target_rate in rates else [*rates, base.target_rate]
+    m_star, rows = _mrs_grid(base, range(1, base.n_relays + 1), grid_rates, messages, z, workers)
+    single, star = rows[0][:len(rates)], rows[m_star - 1][:len(rates)]
+    srs = sweep(SweepSpec(base=replace(base, policy=SRS, m=None), rates=rates,
+                          messages=messages, z=z, workers=workers))
+    single_ok, star_ok = [], []
+    for point in zip(srs, single, star):
+        p_srs, p_one, p_star = (r.estimate for r in point)
         single_ok.append(p_one.p_hat <= p_srs.p_hat + p_one.ci_halfwidth + p_srs.ci_halfwidth)
         star_ok.append(p_star.p_hat <= p_one.p_hat + p_star.ci_halfwidth + p_one.ci_halfwidth)
-    return PolicyComparison(
-        rates=rates,
-        m_star=star.m_star,
-        srs=curves[SRS],
-        mrs_single=curves["mrs_single"],
-        mrs_star=curves["mrs_star"],
-        mrs_single_not_worse=single_ok,
-        mrs_star_not_worse=star_ok,
-    )
+    return PolicyComparison(rates=rates, m_star=m_star, srs=srs, mrs_single=single,
+                            mrs_star=star, mrs_single_not_worse=single_ok,
+                            mrs_star_not_worse=star_ok)

@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, merging, output formats, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -464,6 +465,51 @@ def test_compare_emits_three_curves(tmp_path, capsys):
     assert len(rows) == 6
     assert [r["policy"] for r in rows] == ["srs"] * 2 + ["mrs"] * 4
     assert "ordering consistent" in capsys.readouterr().out
+
+
+def test_compare_worker_count_does_not_change_bytes(tmp_path):
+    outs = []
+    for w in ("1", "2"):
+        out = tmp_path / f"w{w}.csv"
+        assert run_cli("compare", "--n", "6", "--messages", "300", "--workers", w,
+                       "--out", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+_SMALL = ("--n", "6", "--eta", "0.1", "--messages", "300", "--seed", "5")
+
+
+# sha256 of each table, recorded with the code that ran opt-m and the three
+# compare curves as four separate sweeps. A JSON table's manifest has its
+# "created" line dropped; the manifest's paths are relative.
+@pytest.mark.parametrize(
+    "argv,fmt,digest",
+    [
+        (("compare", *_SMALL), "csv",
+         "9c6ebf634c0416f724738079cd11e3c8090e41602035b52c5eb5c5082bde3a90"),
+        (("compare", *_SMALL), "json",
+         "63108ec4c9a51c8be52852a0287c5e9a3e07f744a1905fa0ecd5b1a875efa2ae"),
+        # a rate list without the base rate 1.0, where M* is chosen
+        (("compare", *_SMALL, "--rates", "0.7,1.3"), "csv",
+         "49c5a6d7bce6b7140bbba06f978aa54b57490be546489e47d861427cebfa3aef"),
+        (("compare", *_SMALL, "--rates", "0.7,1.3"), "json",
+         "97795ba6c99bedf050e7ed7081c42bf4b577b88909a30ba347e36170717780a7"),
+        (("opt-m", *_SMALL, "--ms", "2,4,5"), "csv",
+         "40d724889ce4dc180afd3b2ce94759d62c7fec28334c1339ee468faf18eac87a"),
+        (("opt-m", *_SMALL, "--ms", "2,4,5"), "json",
+         "f4d0c25b51bcd263772565be858f749304fff0820d0e083e232088e2eb5547f8"),
+    ],
+    ids=["compare-csv", "compare-json", "compare-rates-csv", "compare-rates-json",
+         "opt-m-csv", "opt-m-json"],
+)
+def test_compare_and_opt_m_tables_are_pinned(tmp_path, monkeypatch, argv, fmt, digest):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SWIPTRELAY_OUTDIR", raising=False)
+    assert run_cli(*argv, "--format", fmt, "--out", f"t.{fmt}") == 0
+    lines = (tmp_path / f"t.{fmt}").read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if b'"created":' not in line)
+    assert hashlib.sha256(kept).hexdigest() == digest
 
 
 # -- output directory handling ----------------------------------------------

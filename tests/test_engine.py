@@ -9,6 +9,7 @@ per broadcast.
 
 import json
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from unittest import mock
 
@@ -90,6 +91,20 @@ def mrs_cfg(**kw):
 def test_config_validation_names_offending_key(kw, key):
     with pytest.raises(ConfigError, match=key):
         SimConfig(**kw).validate()
+
+
+NUMBER_FIELDS = [f.name for f in fields(SimConfig) if f.type != "str"]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("key", NUMBER_FIELDS)
+def test_config_validation_names_the_key_of_an_integer_too_long_to_print(key, sign):
+    # str() of an int over 4300 digits raises ValueError; the refusal must not
+    kw = {key: sign * 10**5000}
+    if key == "m":
+        kw["policy"] = "mrs"
+    with pytest.raises(ConfigError, match=f"^{key} out of range: an integer of 16610 bits$"):
+        SimConfig(**kw)
 
 
 FLOAT_FIELDS = [f.name for f in fields(SimConfig) if "float" in str(f.type)]
@@ -702,6 +717,48 @@ def test_run_batch_counts_equal_run_trial_tallies(configs, block, draw):
         batch = run_batch(configs)
         tallies = [run_trial(cfg) for cfg in configs]
     assert batch == tallies
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 16])
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # odd warmups and slot counts put a framed broadcast and its forward
+        # in different blocks, and cut the warmup mid-block
+        dict(policy="srs", schedule="framed", n_slots=61, warmup_slots=13),
+        dict(policy="srs", schedule="pipelined", n_slots=60, warmup_slots=21),
+        dict(policy="mrs", m=1, schedule="framed", n_slots=60, warmup_slots=19),
+        dict(policy="mrs", m=1, schedule="pipelined", n_slots=61, warmup_slots=16),
+    ],
+    ids=["srs-framed", "srs-pipelined", "mrs-framed", "mrs-pipelined"],
+)
+def test_run_batch_tallies_each_gain_block_like_run_trial(kw, block):
+    base = SimConfig(n_relays=4, eta=0.1, initial_energy=20.0, seed=23, **kw)
+    ms = [1, 2, 4] if base.policy == "mrs" else [None]
+    configs = [replace(base, m=m, target_rate=rate) for m in ms for rate in (0.3, 1.0, 2.0)]
+    with mock.patch.object(engine, "GAIN_BLOCK", block):
+        batch = run_batch(configs)
+    assert batch == [run_trial(cfg) for cfg in configs]
+    assert all(sum(counts.values()) == base.message_count() for counts in batch)
+
+
+def _run_batch_peak_bytes(n_slots):
+    configs = [SimConfig(n_relays=2, n_slots=n_slots, target_rate=0.01 * i, seed=3)
+               for i in range(100)]
+    tracemalloc.start()
+    try:
+        run_batch(configs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_batch_memory_does_not_grow_with_the_message_count():
+    # outcome codes are kept for one gain block at a time, not for the run
+    with mock.patch.object(engine, "GAIN_BLOCK", 16):
+        short, long = _run_batch_peak_bytes(500), _run_batch_peak_bytes(4000)
+    # one int8 code per message and config would add 350 kB to the long run
+    assert long - short < 50_000
 
 
 def test_run_batch_refuses_configs_outside_one_gain_field():

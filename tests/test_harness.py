@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from swiptrelay import harness
-from swiptrelay.engine import Outcome, SimConfig, run_trial
+from swiptrelay.engine import Outcome, SimConfig, run_batch, run_trial
 from swiptrelay.errors import ConfigError
 from swiptrelay.harness import (
     SweepResult,
@@ -219,6 +219,39 @@ def test_compare_policies_structure_and_pairing():
     assert len(seeds) == 1
     assert len(report.mrs_single_not_worse) == 2
     assert len(report.mrs_star_not_worse) == 2
+
+
+@pytest.mark.parametrize("rates", [[0.5, 1.0], [0.7, 1.3]], ids=["with-base", "without-base"])
+def test_compare_policies_runs_one_mrs_grid_and_the_srs_curve(monkeypatch, rates):
+    groups = []
+
+    def counting_run_batch(configs):
+        groups.append(sorted({(c.policy, c.m, c.target_rate) for c in configs}))
+        return run_batch(configs)
+
+    monkeypatch.setattr(harness, "run_batch", counting_run_batch)
+    base = SimConfig(n_relays=4, eta=0.3, seed=4)
+    report = compare_policies(base, rates=rates, messages=300)
+    grid_rates = sorted({*rates, 1.0})
+    assert groups == [
+        [("mrs", m, r) for m in range(1, 5) for r in grid_rates],
+        [("srs", None, r) for r in rates],
+    ]
+    assert report.rates == rates  # the base-rate column is not emitted
+    assert all(len(curve) == 2 for curve in (report.srs, report.mrs_single, report.mrs_star))
+
+
+@pytest.mark.parametrize("rates", [None, [0.7, 1.3]])
+def test_compare_policies_picks_the_m_star_of_optimize_m(rates):
+    base = SimConfig(n_relays=6, eta=0.1, seed=8)
+    report = compare_policies(base, rates=rates, messages=1000)
+    star = optimize_m(base, messages=1000)
+    assert report.m_star == star.m_star
+    # the mrs curves hold the configs a sweep of one curve would run
+    for curve, m in ((report.mrs_single, 1), (report.mrs_star, star.m_star)):
+        spec = SweepSpec(base=replace(base, policy="mrs", m=m), rates=report.rates,
+                         messages=1000)
+        assert curve == sweep(spec)
 
 
 def test_compare_policies_default_rate_grid():
