@@ -7,8 +7,6 @@ from swiptrelay.channel import (
     dbw_to_watts,
     draw_gain,
     gain_stream,
-    inversion_power,
-    link_rate,
 )
 from swiptrelay.engine import (
     Outcome,
@@ -50,8 +48,6 @@ __all__ = [
     "draw_gain",
     "estimate_outage",
     "gain_stream",
-    "inversion_power",
-    "link_rate",
     "mrs_final_select",
     "mrs_preselect",
     "optimize_m",

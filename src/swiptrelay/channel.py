@@ -1,4 +1,4 @@
-"""Rayleigh block-fading channel model: gain draws, link rates, inversion power.
+"""Rayleigh block-fading channel model: gain draws and the link budget.
 
 Channels are represented by their squared magnitude |h|^2, which for a
 Rayleigh amplitude with mean-1 power is exponentially distributed with mean 1.
@@ -46,34 +46,10 @@ def draw_gain(rng: np.random.Generator, size) -> np.ndarray:
     return np.negative(gains, out=gains)
 
 
-def link_rate(
-    gain_sq: float, tx_power: float, noise_var: float = 1.0, distance: float = 1.0
-) -> float:
-    """Spectral efficiency of one hop in bits/s/Hz.
-
-    The 1/2 factor accounts for the two orthogonal slots a message occupies
-    (source->relay, then relay->destination). The engines never take this
-    log: they compare gains with inversion_numerator / tx_power instead.
-    """
-    snr = gain_sq * tx_power / (noise_var * distance**PATH_LOSS_EXP)
-    return 0.5 * math.log2(1.0 + snr)
-
-
 def inversion_numerator(target_rate: float, noise_var: float, distance: float) -> float:
-    """Power times gain that meets target_rate: inversion_power = this / gain."""
-    return (2.0 ** (2.0 * target_rate) - 1.0) * noise_var * distance**PATH_LOSS_EXP
+    """Power times gain that meets target_rate.
 
-
-def inversion_power(
-    target_rate: float, gain_sq: float, noise_var: float, distance: float
-) -> float:
-    """Transmit power that makes the instantaneous link rate exactly target_rate.
-
-    A zero gain needs infinite power; returns inf so callers treat the relay
-    as infeasible.
+    A hop carries 0.5 * log2(1 + g P / (sigma2 d^2)) bits/s/Hz, so this over
+    a gain is the channel-inversion power and over a power the least gain.
     """
-    if target_rate == 0:
-        return 0.0
-    if gain_sq == 0:
-        return math.inf
-    return inversion_numerator(target_rate, noise_var, distance) / gain_sq
+    return (2.0 ** (2.0 * target_rate) - 1.0) * noise_var * distance**PATH_LOSS_EXP

@@ -29,6 +29,16 @@ seed fully determines the gain field and common-random-number couplings
 across parameter values are exact. Gains are drawn GAIN_BLOCK slots at a
 time, which yields the same values as slot-by-slot draws.
 
+A trace is JSON lines: a config header, then one record per stepped slot
+with the forwarder, its transmit power, the designated and decoded relays,
+the resolved outcomes, the batteries after the slot and the slot's gains.
+Format 2 traces (header "format": 2) pack the batteries and the gains as
+base64 of little-endian float64s, exact and cheap to write and read;
+format 1 traces, whose header has no "format", hold them as JSON numbers.
+replay_check steps on the recorded gains, after checking that they are
+the seed's draws to within GAIN_ULPS, the rounding by which numpy's log1p
+may differ between CPUs.
+
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
 _Trial (via run_trial) runs one config on a list of battery floats; it
@@ -45,10 +55,13 @@ srs at N = 5, and 3.1x, 1.8x, 1.2x and 0.73x for mrs at N = 10, M = 4.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import enum
 import json
 import math
 import numbers
+import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -75,6 +88,10 @@ FRAMED = "framed"
 LEDGER_TOL = 1e-9  # absolute per-slot energy-balance tolerance in debug mode
 GAIN_BLOCK = 4096  # slots of gains drawn per generator call
 MAX_SLOTS = 2**53  # the largest count a float holds exactly
+TRACE_FORMAT = 2  # run_trial's traces; format 1 holds floats as JSON numbers
+# how far a recorded gain may lie from replay's draw of it: numpy tests its
+# float64 log1p to 1 ulp on every CPU path, so two CPUs may differ by 2
+GAIN_ULPS = 4
 
 
 class Outcome(enum.Enum):
@@ -335,6 +352,32 @@ def _gain_blocks(config: SimConfig):
         left -= block
 
 
+def _gain_rows(config: SimConfig):
+    """Yield each slot's gains as (g_sl, g_ld) lists of floats, one row of
+    _gain_blocks at a time: a whole block as lists would raise peak memory."""
+    for g_sl, g_ld in _gain_blocks(config):
+        for sl, ld in zip(g_sl, g_ld):
+            yield sl.tolist(), ld.tolist()
+
+
+def _pack(values) -> str:
+    """Floats as base64 of their little-endian float64 bytes: exact on any
+    CPU, and far cheaper to write and read than JSON numbers."""
+    return binascii.b2a_base64(struct.pack(f"<{len(values)}d", *values), newline=False).decode()
+
+
+def _unpack(text, count: int) -> list:
+    """The count finite floats that _pack wrote as text; a ValueError or
+    TypeError refuses anything else."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) != 8 * count:
+        raise ValueError(f"packed floats must be {count} float64s")
+    values = list(struct.unpack(f"<{count}d", raw))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("packed floats must be finite")
+    return values
+
+
 class _Trial:
     """Mutable state for one run; step() advances it one slot.
 
@@ -438,8 +481,6 @@ class _Trial:
         if want_record:
             record = {
                 "slot": slot,
-                "g_sl": list(g_sl),
-                "g_ld": list(g_ld),
                 "forwarder": forwarder,
                 "tx_power": tx_power,
                 "designated": designated,
@@ -471,9 +512,9 @@ def run_trial(
 
     Returns the count of each Outcome, every key present: the shape of one
     run_batch row. Output is a pure function of the config (seed included).
-    With trace_path set, one JSON record per slot is written (config header
-    first) for later replay_check; its outcomes field holds each message's
-    resolution.
+    With trace_path set, a format 2 trace is written for later replay_check:
+    the config header, then one JSON record per slot with the batteries and
+    gains packed; its outcomes field holds each message's resolution.
     """
     trial = _Trial(config)
     warmup = config.warmup_messages()
@@ -486,27 +527,26 @@ def run_trial(
         writer = open(trace_path, "w", newline="\n")
     try:
         if writer is not None:
-            header = {"kind": "config", "version": __version__, "config": config.to_dict()}
+            header = {
+                "kind": "config",
+                "version": __version__,
+                "format": TRACE_FORMAT,
+                "config": config.to_dict(),
+            }
             writer.write(json.dumps(header) + "\n")
-        slot = 0
-        for g_sl, g_ld in _gain_blocks(config):
-            # row by row: a whole block as Python lists would raise peak memory
-            for sl, ld in zip(g_sl, g_ld):
-                if slot >= config.n_slots and trial.pending is None:
-                    break
-                resolved, record = trial.step(
-                    slot,
-                    sl.tolist(),
-                    ld.tolist(),
-                    want_record=writer is not None,
-                    check=check_invariants,
-                )
-                for msg, result in resolved:
-                    if msg >= warmup:
-                        tally[result] += 1
-                if writer is not None:
-                    writer.write(json.dumps(record) + "\n")
-                slot += 1
+        for slot, (g_sl, g_ld) in enumerate(_gain_rows(config)):
+            if slot >= config.n_slots and trial.pending is None:
+                break
+            resolved, record = trial.step(
+                slot, g_sl, g_ld, want_record=writer is not None, check=check_invariants
+            )
+            for msg, result in resolved:
+                if msg >= warmup:
+                    tally[result] += 1
+            if writer is not None:
+                record["battery"] = _pack(record["battery"])
+                record["gains"] = _pack(g_sl + g_ld)
+                writer.write(json.dumps(record) + "\n")
     finally:
         if writer is not None:
             writer.close()
@@ -668,50 +708,106 @@ _REPLAY_FIELDS = ("forwarder", "tx_power", "designated", "decoded", "outcomes", 
 _GAIN_TYPES = frozenset((float, int))  # what json.loads makes of a number; bool is neither
 
 
-def replay_check(trace_path) -> ReplayResult:
-    """Recompute every state transition of a trace from its recorded gains.
+def _recorded_gains(rec: dict, n: int, trace_format: int, drawn: list) -> list:
+    """The 2n gains a record was stepped on, g_sl then g_ld: drawn itself
+    when a format 2 record packed exactly those. A ValueError or TypeError
+    refuses gains that are not 2n finite numbers."""
+    if trace_format == TRACE_FORMAT:
+        packed = rec["gains"]
+        return drawn if packed == _pack(drawn) else _unpack(packed, 2 * n)
+    g_sl, g_ld = rec["g_sl"], rec["g_ld"]
+    if len(g_sl) != n or len(g_ld) != n:
+        raise ValueError(f"gain lists must have {n} entries")
+    # every gain, read by this slot's rules or not; map keeps it cheap
+    gains = g_sl + g_ld
+    if not (_GAIN_TYPES.issuperset(map(type, gains)) and all(map(math.isfinite, gains))):
+        raise ValueError("gains must be finite numbers")
+    return gains
 
-    Returns ok=True iff selections, outcomes, and batteries match the
+
+def _malformed(slot: int, exc: Exception) -> ReplayResult:
+    return ReplayResult(False, slot, f"malformed record ({type(exc).__name__}: {exc})")
+
+
+def _gain_mismatch(recorded: list, drawn: list, n: int) -> str | None:
+    """Where a recorded gain lies more than GAIN_ULPS from the seed's draw."""
+    count = len(drawn)
+    # for finite floats of one sign, the gap of their bit patterns counts ulps
+    bits = struct.Struct(f"<{count}q").unpack
+    pack = struct.Struct(f"<{count}d").pack
+    for i, (a, b) in enumerate(zip(bits(pack(*recorded)), bits(pack(*drawn)))):
+        if abs(a - b) > GAIN_ULPS:
+            key = "g_sl" if i < n else "g_ld"
+            return (
+                f"{key}[{i % n}]: recorded {recorded[i]!r} is {abs(a - b)} ulps"
+                f" from the seed's draw {drawn[i]!r}"
+            )
+    return None
+
+
+def replay_check(trace_path) -> ReplayResult:
+    """Recompute every state transition of a trace on its recorded gains.
+
+    The file is read one line at a time. Each record's gains must lie
+    within GAIN_ULPS of the seed's draw for that slot, drawn again as
+    run_trial draws them: numpy's log1p rounds differently on some CPUs,
+    and stepping on the recorded gains keeps replay exact on any CPU.
+    Returns ok=True iff selections, outcomes and batteries match the
     recorded values bit-exactly; otherwise reports the first divergent slot.
     """
     with open(trace_path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        return ReplayResult(False, None, "empty trace")
-    try:
-        header = json.loads(lines[0])
-        config_data = header["config"] if header.get("kind") == "config" else None
-    except (ValueError, KeyError, AttributeError):
-        config_data = None
-    if not isinstance(config_data, dict):
-        return ReplayResult(False, None, "missing config header")
-    config = SimConfig.from_dict(config_data)
-    n = config.n_relays
-    trial = _Trial(config)
-    expected_slot = 0
-    for line in lines[1:]:
+        first = fh.readline()
+        if not first:
+            return ReplayResult(False, None, "empty trace")
         try:
-            rec = json.loads(line)
-            slot, g_sl, g_ld = rec["slot"], rec["g_sl"], rec["g_ld"]
-            if len(g_sl) != n or len(g_ld) != n:
-                raise ValueError(f"gain lists must have {n} entries")
-            # every gain, read by this slot's rules or not; map keeps it cheap
-            gains = g_sl + g_ld
-            if not (_GAIN_TYPES.issuperset(map(type, gains)) and all(map(math.isfinite, gains))):
-                raise ValueError("gains must be finite numbers")
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            return ReplayResult(
-                False, expected_slot, f"malformed record ({type(exc).__name__}: {exc})"
-            )
-        if slot != expected_slot:
-            return ReplayResult(False, slot, f"expected slot {expected_slot}")
-        _, computed = trial.step(slot, g_sl, g_ld, want_record=True)
-        for key in _REPLAY_FIELDS:
-            if computed[key] != rec.get(key):
-                return ReplayResult(
-                    False, slot, f"{key}: recomputed {computed[key]!r} != recorded {rec.get(key)!r}"
-                )
-        expected_slot += 1
+            header = json.loads(first)
+            config_data = header["config"] if header.get("kind") == "config" else None
+        except (ValueError, KeyError, AttributeError):
+            config_data = None
+        if not isinstance(config_data, dict):
+            return ReplayResult(False, None, "missing config header")
+        trace_format = header.get("format", 1)
+        # exactly: true and 2.0 compare equal to 1 and 2
+        if type(trace_format) is not int or trace_format not in (1, TRACE_FORMAT):
+            return ReplayResult(False, None, f"unknown trace format {trace_format!r}")
+        config = SimConfig.from_dict(config_data)
+        n = config.n_relays
+        trial = _Trial(config)
+        rows = _gain_rows(config)
+        expected_slot = 0
+        for line in fh:
+            try:
+                rec = json.loads(line)
+                slot = rec["slot"]
+            except (ValueError, KeyError, TypeError) as exc:
+                return _malformed(expected_slot, exc)
+            if slot != expected_slot:
+                return ReplayResult(False, slot, f"expected slot {expected_slot}")
+            # run_trial stops after the last slot, or after the drain slot
+            # that resolves the last message
+            if slot >= config.n_slots and trial.pending is None:
+                return ReplayResult(False, slot, "record past the end of the run")
+            g_sl, g_ld = next(rows)
+            drawn = g_sl + g_ld
+            try:
+                gains = _recorded_gains(rec, n, trace_format, drawn)
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                return _malformed(slot, exc)
+            if gains != drawn:
+                mismatch = _gain_mismatch(gains, drawn, n)
+                if mismatch is not None:
+                    return ReplayResult(False, slot, mismatch)
+            _, computed = trial.step(slot, gains[:n], gains[n:], want_record=True)
+            if trace_format == TRACE_FORMAT:
+                computed["battery"] = _pack(computed["battery"])
+            for key in _REPLAY_FIELDS:
+                if computed[key] != rec.get(key):
+                    return ReplayResult(
+                        False,
+                        slot,
+                        f"{key}: recomputed {computed[key]!r} != recorded {rec.get(key)!r}",
+                    )
+            expected_slot += 1
     if trial.pending is not None:
         return ReplayResult(False, expected_slot, "trace ends with an unresolved message")
     return ReplayResult(True)

@@ -66,9 +66,10 @@ def mrs_final_select(
     """Pick the forwarding relay among the decoders, given destination CSI.
 
     gains_to_dest is indexed by relay id. Each decoder's transmit power is
-    the channel inversion for its own destination gain, as in
-    channel.inversion_power; the pick maximizes battery minus the resulting
-    energy cost over decoders that can afford it. Returns (relay id, tx power W,
+    the channel inversion for its own destination gain,
+    channel.inversion_numerator / gain (inf for a zero gain); the pick
+    maximizes battery minus the resulting energy cost over decoders that
+    can afford it. Returns (relay id, tx power W,
     energy cost J), or None when no decoder exists or none can pay (a zero
     gain makes that decoder infeasible, not an error).
     """

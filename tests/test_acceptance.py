@@ -17,7 +17,7 @@ import time
 from dataclasses import replace
 from typing import NamedTuple
 
-from swiptrelay.channel import inversion_power
+from oracles import inversion_power
 from swiptrelay.cli import main
 from swiptrelay.engine import SimConfig, replay_check, run_trial
 from swiptrelay.harness import (

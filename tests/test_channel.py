@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import inversion_power, link_rate
 from swiptrelay.channel import (
     dbw_to_watts,
     draw_gain,
     gain_from_uniform,
     gain_stream,
-    inversion_power,
-    link_rate,
 )
 from swiptrelay.engine import SimConfig, _constants
 from swiptrelay.errors import ConfigError

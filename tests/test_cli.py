@@ -1,11 +1,15 @@
 """Command-line behavior: parsing, merging, output formats, exit codes."""
 
+import base64
 import csv
 import hashlib
 import json
 import math
+import shutil
 from dataclasses import fields
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +24,9 @@ from swiptrelay.cli import (
 )
 from swiptrelay.engine import SimConfig
 from swiptrelay.errors import ConfigError, InvariantError
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
@@ -562,7 +569,9 @@ def test_replay_tampered_trace_exits_1(tmp_path, capsys):
             "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
     lines = trace.read_text().splitlines()
     rec = json.loads(lines[3])
-    rec["battery"] = [b + 1.0 for b in rec["battery"]]
+    # format 2 packs the batteries as base64 of little-endian float64s
+    battery = np.frombuffer(base64.b64decode(rec["battery"]), "<f8") + 1.0
+    rec["battery"] = base64.b64encode(battery.astype("<f8").tobytes()).decode()
     lines[3] = json.dumps(rec)
     trace.write_text("\n".join(lines) + "\n")
     assert run_cli("replay", str(trace)) == 1
@@ -590,9 +599,9 @@ def _unread_g_ld(rec, value):
     ],
 )
 def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
+    # a format 1 trace: its records carry the gains
     trace = tmp_path / "t.jsonl"
-    run_cli("run", "--messages", "80", "--seed", "5",
-            "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
+    shutil.copyfile(DATA / "trace_v1_srs_framed.jsonl", trace)
     lines = trace.read_text().splitlines()
     if callable(bad_line):
         bad_line = bad_line(json.loads(lines[3]))
@@ -600,6 +609,21 @@ def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
     trace.write_text("\n".join(lines) + "\n")
     assert run_cli("replay", str(trace)) == 1
     assert "replay failed at slot 2: malformed record" in capsys.readouterr().err
+
+
+def test_replay_record_past_the_end_exits_1(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    run_cli("run", "--messages", "80", "--seed", "5",
+            "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    # after the drain slot 80, which forwards the last message
+    lines.append(json.dumps({**json.loads(lines[-1]), "slot": 81}))
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("replay", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert "replay failed at slot 81: record past the end of the run" in err
+    assert "Traceback" not in err
 
 
 def test_replay_non_numeric_header_value_exits_1(tmp_path, capsys):

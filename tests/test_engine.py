@@ -7,10 +7,13 @@ default battery starts at 100 J, and an idle relay harvests 5 * gain joules
 per broadcast.
 """
 
+import base64
 import json
 import math
+import shutil
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 from swiptrelay import engine
 from swiptrelay.channel import draw_gain, gain_stream
 from swiptrelay.engine import (
+    GAIN_ULPS,
     Outcome,
     ReplayResult,
     SimConfig,
@@ -432,11 +436,13 @@ def test_same_seed_same_gain_field_across_rates(tmp_path):
     """Changing the target rate must not perturb the drawn channel gains."""
     gains = {}
     for rate in (0.5, 2.0):
+        cfg = SimConfig(n_slots=50, seed=5, target_rate=rate)
+        gains[rate] = np.concatenate([np.hstack(pair) for pair in _gain_blocks(cfg)])
+        # replay steps on these rows, so an ok replay ties the run to them
         trace = tmp_path / f"r{rate}.jsonl"
-        run_trial(SimConfig(n_slots=50, seed=5, target_rate=rate), trace_path=trace)
-        recs = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
-        gains[rate] = [(r["g_sl"], r["g_ld"]) for r in recs[:50]]
-    assert gains[0.5] == gains[2.0]
+        run_trial(cfg, trace_path=trace)
+        assert replay_check(trace).ok
+    assert gains[0.5].tobytes() == gains[2.0].tobytes()
 
 
 def test_per_message_outage_monotone_in_rate_when_selection_is_fixed(tmp_path):
@@ -547,6 +553,38 @@ def _write_trace(tmp_path, name="trace.jsonl", **kw):
     return path
 
 
+# format 1 traces, whose records carry their gains (see data/README.md)
+V1_MRS = "trace_v1_mrs.jsonl"  # the run of _write_trace()
+V1_SRS_FRAMED = "trace_v1_srs_framed.jsonl"
+
+
+def _v1_trace(tmp_path, name=V1_MRS):
+    path = tmp_path / name
+    shutil.copyfile(Path(__file__).parent / "data" / name, path)
+    return path
+
+
+def _edit_trace(path, edit):
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _floats(packed):
+    """A format 2 record's packed batteries or gains as a list of floats."""
+    return np.frombuffer(base64.b64decode(packed), "<f8").tolist()
+
+
+def _packed(values):
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def _ulps_up(value, ulps):
+    for _ in range(ulps):
+        value = math.nextafter(value, math.inf)
+    return value
+
+
 def test_trace_bytes_are_reproducible(tmp_path):
     a = _write_trace(tmp_path, "a.jsonl")
     b = _write_trace(tmp_path, "b.jsonl")
@@ -563,7 +601,9 @@ def test_replay_rejects_tampered_battery(tmp_path):
     path = _write_trace(tmp_path)
     lines = path.read_text().splitlines()
     rec = json.loads(lines[10])
-    rec["battery"][0] += 1.0
+    battery = _floats(rec["battery"])
+    battery[0] += 1.0
+    rec["battery"] = _packed(battery)
     lines[10] = json.dumps(rec)
     path.write_text("\n".join(lines) + "\n")
     result = replay_check(path)
@@ -573,7 +613,7 @@ def test_replay_rejects_tampered_battery(tmp_path):
 
 
 def test_replay_rejects_tampered_gain(tmp_path):
-    path = _write_trace(tmp_path)
+    path = _v1_trace(tmp_path)
     lines = path.read_text().splitlines()
     # tamper the source gain of an idle relay: its harvest credit, and so
     # its recorded battery, can no longer be reproduced
@@ -635,7 +675,7 @@ def _unread(rec, prev, value):
     ],
 )
 def test_replay_reports_malformed_records(tmp_path, edit):
-    path = _write_trace(tmp_path)
+    path = _v1_trace(tmp_path)
     lines = path.read_text().splitlines()
     lines[5] = edit(json.loads(lines[5]), json.loads(lines[4]))   # the record of slot 4
     path.write_text("\n".join(lines) + "\n")
@@ -651,6 +691,193 @@ def test_replay_reports_malformed_header(tmp_path):
         path.write_text(header + "\n")
         result = replay_check(path)
         assert not result.ok and result.detail == "missing config header"
+
+
+def test_trace_records_pack_batteries_and_gains(tmp_path):
+    lines = _write_trace(tmp_path).read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header["format"] == 2
+    cfg = SimConfig.from_dict(header["config"])
+    rows = np.concatenate([np.hstack(pair) for pair in _gain_blocks(cfg)])
+    trial = _Trial(cfg)
+    for line, row in zip(lines[1:], rows):
+        rec = json.loads(line)
+        assert "g_sl" not in rec and "g_ld" not in rec
+        assert _floats(rec["gains"]) == row.tolist()
+        _, stepped = trial.step(rec["slot"], row[:3].tolist(), row[3:].tolist(), want_record=True)
+        assert _floats(rec["battery"]) == stepped["battery"]
+
+
+@pytest.mark.parametrize("name", [V1_MRS, V1_SRS_FRAMED])
+def test_replay_accepts_format_1_traces(tmp_path, name):
+    path = _v1_trace(tmp_path, name)
+    assert "format" not in json.loads(path.read_text().splitlines()[0])
+    assert replay_check(path).ok
+
+
+def _nudge_gain(line, key, ulps):
+    """line with the last g_sl or g_ld entry moved up by ulps, in either format."""
+    rec = json.loads(line)
+    if "gains" in rec:
+        gains = _floats(rec["gains"])
+        i = len(gains) // 2 - 1 if key == "g_sl" else -1
+        gains[i] = _ulps_up(gains[i], ulps)
+        rec["gains"] = _packed(gains)
+    else:
+        rec[key][-1] = _ulps_up(rec[key][-1], ulps)
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("name", [V1_MRS, V1_SRS_FRAMED, None])
+@pytest.mark.parametrize("key", ["g_sl", "g_ld"])
+def test_replay_checks_the_gains_against_the_seed(tmp_path, name, key):
+    """A recorded gain off the seed's draw by more than GAIN_ULPS diverges,
+    read or not; 64 ulps stays off when the CPU that checks the trace
+    rounds the draw differently from the one that wrote it."""
+    path = _v1_trace(tmp_path, name) if name else _write_trace(tmp_path)
+
+    def edit(lines):
+        lines[8] = _nudge_gain(lines[8], key, 64)
+
+    _edit_trace(path, edit)
+    result = replay_check(path)
+    assert not result.ok
+    assert result.divergent_slot == 7
+    n = json.loads(path.read_text().splitlines()[0])["config"]["n_relays"]
+    assert result.detail.startswith(f"{key}[{n - 1}]: recorded")
+    assert "ulps from the seed's draw" in result.detail
+
+
+def _draws_off_by(ulps):
+    """Patch replay's redraw to round a third of the gains ulps higher, as
+    numpy on another CPU might."""
+    real = engine.draw_gain
+
+    def draw(rng, size):
+        gains = real(rng, size)
+        gains.view(np.int64)[..., ::3] += ulps
+        return gains
+
+    return mock.patch.object(engine, "draw_gain", draw)
+
+
+@pytest.mark.parametrize("name", [V1_MRS, V1_SRS_FRAMED, None])
+def test_replay_moves_between_cpus_that_round_the_draws_differently(tmp_path, name):
+    path = _v1_trace(tmp_path, name) if name else _write_trace(tmp_path)
+    # the format 1 traces come from another CPU already, maybe 1 ulp off
+    with _draws_off_by(GAIN_ULPS - 1):
+        assert replay_check(path).ok
+    with _draws_off_by(GAIN_ULPS + 2):
+        result = replay_check(path)
+    assert not result.ok and result.divergent_slot == 0
+    assert "ulps from the seed's draw" in result.detail
+
+
+def _set_seed(lines):
+    header = json.loads(lines[0])
+    header["config"]["seed"] += 1
+    lines[0] = json.dumps(header)
+
+
+def _append_past_the_end(lines):
+    rec = json.loads(lines[-1])
+    lines.append(json.dumps({**rec, "slot": rec["slot"] + 1}))
+
+
+@pytest.mark.parametrize(
+    "edit,slot,detail",
+    [
+        (_set_seed, 0, "ulps from the seed's draw"),
+        (lambda lines: lines.pop(11), 11, "expected slot 10"),
+        (lambda lines: lines.insert(11, lines[11]), 10, "expected slot 11"),
+        # slot 60 is the drain slot: the redraw has no row past it
+        (_append_past_the_end, 61, "record past the end of the run"),
+    ],
+    ids=["seed", "dropped record", "repeated record", "extra record"],
+)
+def test_replay_rejects_tampered_format_2_traces(tmp_path, edit, slot, detail):
+    path = _write_trace(tmp_path)
+    _edit_trace(path, edit)
+    result = replay_check(path)
+    assert not result.ok
+    assert result.divergent_slot == slot
+    assert detail in result.detail
+
+
+def test_replay_rejects_a_slot_the_run_never_stepped(tmp_path):
+    """A framed run of even length ends with its last forward, with no drain
+    slot; a record for slot n_slots that repeats the unchanged state would
+    replay bit-exactly, so its slot alone must refuse it."""
+    path = tmp_path / "t.jsonl"
+    run_trial(srs_cfg(n_slots=10, seed=1), trace_path=path)
+
+    def edit(lines):
+        last = json.loads(lines[-1])
+        assert last["slot"] == 9
+        lines.append(json.dumps({**last, "slot": 10, "forwarder": None, "tx_power": None,
+                                 "designated": [], "decoded": [], "outcomes": []}))
+
+    _edit_trace(path, edit)
+    result = replay_check(path)
+    assert not result.ok
+    assert (result.divergent_slot, result.detail) == (10, "record past the end of the run")
+
+
+@pytest.mark.parametrize("value", [3, 0, True, 2.0, "2", None])
+def test_replay_refuses_an_unknown_trace_format(tmp_path, value):
+    path = _write_trace(tmp_path)
+
+    def edit(lines):
+        header = json.loads(lines[0])
+        header["format"] = value
+        lines[0] = json.dumps(header)
+
+    _edit_trace(path, edit)
+    assert replay_check(path) == ReplayResult(False, None, f"unknown trace format {value!r}")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rec: {k: v for k, v in rec.items() if k != "gains"},
+        lambda rec: {**rec, "gains": _floats(rec["gains"])},
+        lambda rec: {**rec, "gains": "*" + rec["gains"][1:]},
+        lambda rec: {**rec, "gains": _packed(_floats(rec["gains"])[:-1])},
+        lambda rec: {**rec, "gains": _packed([math.nan] + _floats(rec["gains"])[1:])},
+        lambda rec: {**rec, "gains": _packed([math.inf] + _floats(rec["gains"])[1:])},
+    ],
+    ids=["missing", "list", "not base64", "short", "nan", "inf"],
+)
+def test_replay_reports_malformed_format_2_gains(tmp_path, edit):
+    path = _write_trace(tmp_path)
+
+    def edit_slot_4(lines):
+        lines[5] = json.dumps(edit(json.loads(lines[5])))
+
+    _edit_trace(path, edit_slot_4)
+    result = replay_check(path)
+    assert not result.ok
+    assert result.divergent_slot == 4
+    assert "malformed record" in result.detail
+
+
+def _replay_peak_bytes(tmp_path, n_slots):
+    path = tmp_path / f"t{n_slots}.jsonl"
+    run_trial(SimConfig(n_relays=2, n_slots=n_slots, seed=3), trace_path=path)
+    tracemalloc.start()
+    try:
+        assert replay_check(path).ok
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_replay_memory_does_not_grow_with_the_trace_length(tmp_path):
+    # the trace is read line by line and the gains redrawn block by block
+    with mock.patch.object(engine, "GAIN_BLOCK", 16):
+        short, long = _replay_peak_bytes(tmp_path, 500), _replay_peak_bytes(tmp_path, 4000)
+    # holding the lines of the long trace would add about 900 kB
+    assert long - short < 50_000
 
 
 # -- gain blocks and the lockstep batch engine --------------------------------

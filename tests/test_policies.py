@@ -11,7 +11,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, strategies as st
 
-from swiptrelay.channel import inversion_power
+from oracles import inversion_power
 from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 
