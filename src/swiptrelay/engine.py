@@ -35,9 +35,14 @@ the resolved outcomes, the batteries after the slot and the slot's gains.
 Format 2 traces (header "format": 2) pack the batteries and the gains as
 base64 of little-endian float64s, exact and cheap to write and read;
 format 1 traces, whose header has no "format", hold them as JSON numbers.
-replay_check steps on the recorded gains, after checking that they are
-the seed's draws to within GAIN_ULPS, the rounding by which numpy's log1p
-may differ between CPUs.
+run_trial writes each record line from one template (_trace_lines), whose
+bytes are those of json.dumps of the record. replay_check regenerates a
+format 2 trace's lines from its header and compares bytes, parsing records
+only from the first line that differs. From there, and for a format 1
+trace, the record verifier decides: it steps on the recorded gains, after
+checking that they are the seed's draws to within GAIN_ULPS, the rounding
+by which numpy's log1p may differ between CPUs. So a trace written on a
+CPU that rounds differently replays ok, at the verifier's full cost.
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
@@ -46,11 +51,12 @@ alone writes and replays traces and checks the per-slot energy ledger.
 run_batch runs K configs that share one gain field and differ only in m
 and target_rate in lockstep: batteries and decoder sets are rows of (K, N)
 arrays, and every row equals run_trial's count for that config. The
-harness picks the engine by group size: a group of one runs _Trial,
-larger groups run in lockstep.
+harness picks the engine by group size: a group of up to three configs
+runs as separate _Trial runs, larger groups run in lockstep.
 Measured on a 2-core VM (20000 slots), a lockstep run of K configs costs
-5.3x, 2.9x, 2.0x and 1.2x the K separate _Trial runs at K = 1, 2, 3, 5 for
-srs at N = 5, and 3.1x, 1.8x, 1.2x and 0.73x for mrs at N = 10, M = 4.
+6.5x, 2.9x, 2.0x, 1.9x and 1.3x the K separate _Trial runs at K = 1 to 5
+for srs at N = 5, and 3.4x, 1.9x, 1.2x, 1.06x and 0.78x for mrs at N = 10,
+M = 4.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -336,20 +343,26 @@ def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
     return slots
 
 
-def _gain_blocks(config: SimConfig):
-    """Yield the run's gains as (g_sl, g_ld) pairs of (block, N) arrays.
+def _gain_draws(config: SimConfig):
+    """Yield the run's gains as (block, 2N) arrays, each row a slot's g_sl
+    then g_ld.
 
     The blocks cover slots 0 to n_slots, the possible drain slot included,
     and hold the values that 2N draws per slot would give.
     """
     rng = gain_stream(config.seed)
-    n = config.n_relays
     left = config.n_slots + 1
     while left > 0:
         block = min(GAIN_BLOCK, left)
-        gains = draw_gain(rng, (block, 2 * n))
-        yield gains[:, :n], gains[:, n:]
+        yield draw_gain(rng, (block, 2 * config.n_relays))
         left -= block
+
+
+def _gain_blocks(config: SimConfig):
+    """Yield the run's gains as (g_sl, g_ld) pairs of (block, N) arrays."""
+    n = config.n_relays
+    for gains in _gain_draws(config):
+        yield gains[:, :n], gains[:, n:]
 
 
 def _gain_rows(config: SimConfig):
@@ -403,6 +416,23 @@ class _Trial:
     ) -> tuple[list[tuple[int, Outcome]], dict | None]:
         """Run one slot; returns resolved (message, outcome) pairs and,
         when requested, a trace record."""
+        resolved, forwarder, tx_power, designated, decoded = self._advance(slot, g_sl, g_ld, check)
+        record = None
+        if want_record:
+            record = {
+                "slot": slot,
+                "forwarder": forwarder,
+                "tx_power": tx_power,
+                "designated": designated,
+                "decoded": decoded,
+                "outcomes": [[msg, res.value] for msg, res in resolved],
+                "battery": list(self.battery),
+            }
+        return resolved, record
+
+    def _advance(self, slot, g_sl, g_ld, check):
+        """Run one slot; returns the resolved (message, outcome) pairs, the
+        forwarder, its transmit power, and the designated and decoded ids."""
         cfg, k, battery = self.cfg, self.const, self.battery
         mrs = cfg.policy == MRS
         # the slot after the last one is the forward-only drain slot
@@ -476,19 +506,7 @@ class _Trial:
 
         if check:
             self._check_slot(slot, energy_before, harvested, debited, forwarder, designated)
-
-        record = None
-        if want_record:
-            record = {
-                "slot": slot,
-                "forwarder": forwarder,
-                "tx_power": tx_power,
-                "designated": designated,
-                "decoded": decoded,
-                "outcomes": [[msg, res.value] for msg, res in resolved],
-                "battery": list(battery),
-            }
-        return resolved, record
+        return resolved, forwarder, tx_power, designated, decoded
 
     def _check_slot(self, slot, energy_before, harvested, debited, forwarder, designated):
         # one forwarder variable: at most one relay transmits per slot
@@ -500,6 +518,46 @@ class _Trial:
         balance = sum(self.battery) - energy_before - harvested + debited
         if abs(balance) > LEDGER_TOL:
             raise InvariantError(f"slot {slot}: energy ledger off by {balance}")
+
+
+# a trace record's JSON outcome pair, after the message id
+_OUTCOME_TAILS = {res: f', "{res.value}"]' for res in Outcome}
+
+
+def _trace_lines(config: SimConfig, check: bool = False):
+    """Step a _Trial over the seed's gains as run_trial does, yielding each
+    slot's resolved (message, outcome) pairs and its trace record line.
+
+    The line is the bytes of json.dumps(record) + "\n" for step's record
+    with the batteries and gains packed, built from one template: ids are
+    Python ints and lists of them, whose repr is their JSON, and tx_power is
+    always finite, so its repr is too. The gains are packed straight from
+    the drawn row, converted to floats one row at a time.
+    """
+    trial = _Trial(config)
+    n, n_slots = config.n_relays, config.n_slots
+    pack_battery = struct.Struct(f"<{n}d").pack
+    b64 = binascii.b2a_base64
+    slot = 0
+    for gains in _gain_draws(config):
+        for row in gains.astype("<f8", copy=False):
+            if slot >= n_slots and trial.pending is None:
+                return
+            values = row.tolist()
+            resolved, forwarder, tx_power, designated, decoded = trial._advance(
+                slot, values[:n], values[n:], check
+            )
+            outcomes = ", ".join([f"[{msg}{_OUTCOME_TAILS[res]}" for msg, res in resolved])
+            battery = b64(pack_battery(*trial.battery), newline=False).decode()
+            yield resolved, (
+                f'{{"slot": {slot}, '
+                f'"forwarder": {"null" if forwarder is None else forwarder}, '
+                f'"tx_power": {"null" if tx_power is None else repr(tx_power)}, '
+                f'"designated": {designated!r}, "decoded": {decoded!r}, '
+                f'"outcomes": [{outcomes}], "battery": "{battery}", '
+                f'"gains": "{b64(row, newline=False).decode()}"}}\n'
+            )
+            slot += 1
 
 
 def run_trial(
@@ -516,40 +574,34 @@ def run_trial(
     the config header, then one JSON record per slot with the batteries and
     gains packed; its outcomes field holds each message's resolution.
     """
-    trial = _Trial(config)
     warmup = config.warmup_messages()
     tally = dict.fromkeys(Outcome, 0)
-    writer = None
-    if trace_path is not None:
-        directory = Path(trace_path).parent
-        if not directory.exists():
-            directory.mkdir(parents=True, exist_ok=True)
-        writer = open(trace_path, "w", newline="\n")
-    try:
-        if writer is not None:
-            header = {
-                "kind": "config",
-                "version": __version__,
-                "format": TRACE_FORMAT,
-                "config": config.to_dict(),
-            }
-            writer.write(json.dumps(header) + "\n")
+    if trace_path is None:
+        trial = _Trial(config)
         for slot, (g_sl, g_ld) in enumerate(_gain_rows(config)):
             if slot >= config.n_slots and trial.pending is None:
                 break
-            resolved, record = trial.step(
-                slot, g_sl, g_ld, want_record=writer is not None, check=check_invariants
-            )
+            resolved = trial._advance(slot, g_sl, g_ld, check_invariants)[0]
             for msg, result in resolved:
                 if msg >= warmup:
                     tally[result] += 1
-            if writer is not None:
-                record["battery"] = _pack(record["battery"])
-                record["gains"] = _pack(g_sl + g_ld)
-                writer.write(json.dumps(record) + "\n")
-    finally:
-        if writer is not None:
-            writer.close()
+        return tally
+    directory = Path(trace_path).parent
+    if not directory.exists():
+        directory.mkdir(parents=True, exist_ok=True)
+    with open(trace_path, "w", newline="\n") as writer:
+        header = {
+            "kind": "config",
+            "version": __version__,
+            "format": TRACE_FORMAT,
+            "config": config.to_dict(),
+        }
+        writer.write(json.dumps(header) + "\n")
+        for resolved, line in _trace_lines(config, check_invariants):
+            for msg, result in resolved:
+                if msg >= warmup:
+                    tally[result] += 1
+            writer.write(line)
     return tally
 
 
@@ -725,6 +777,15 @@ def _recorded_gains(rec: dict, n: int, trace_format: int, drawn: list) -> list:
     return gains
 
 
+def _json_equal(a, b) -> bool:
+    """a == b with JSON's types kept apart: true is not 1, and 1 is not 1.0."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_json_equal, a, b))
+    return a == b
+
+
 def _malformed(slot: int, exc: Exception) -> ReplayResult:
     return ReplayResult(False, slot, f"malformed record ({type(exc).__name__}: {exc})")
 
@@ -748,12 +809,17 @@ def _gain_mismatch(recorded: list, drawn: list, n: int) -> str | None:
 def replay_check(trace_path) -> ReplayResult:
     """Recompute every state transition of a trace on its recorded gains.
 
-    The file is read one line at a time. Each record's gains must lie
-    within GAIN_ULPS of the seed's draw for that slot, drawn again as
-    run_trial draws them: numpy's log1p rounds differently on some CPUs,
-    and stepping on the recorded gains keeps replay exact on any CPU.
-    Returns ok=True iff selections, outcomes and batteries match the
-    recorded values bit-exactly; otherwise reports the first divergent slot.
+    The file is read one line at a time. A format 2 trace is first compared
+    byte for byte with the lines run_trial writes for its header's config:
+    if every line matches, it is ok without parsing a record. Otherwise, and
+    for a format 1 trace, the record verifier (_verify_records) decides from
+    the first record on: each record's gains must lie within GAIN_ULPS of
+    the seed's draw for that slot, drawn again as run_trial draws them, and
+    the step on the recorded gains must match the record bit-exactly and in
+    JSON type. numpy's log1p rounds differently on some CPUs, so a trace
+    written on another CPU takes the verifier, and replays ok there too.
+    Returns ok=True iff every record matches; otherwise reports the first
+    divergent slot.
     """
     with open(trace_path) as fh:
         first = fh.readline()
@@ -771,43 +837,60 @@ def replay_check(trace_path) -> ReplayResult:
         if type(trace_format) is not int or trace_format not in (1, TRACE_FORMAT):
             return ReplayResult(False, None, f"unknown trace format {trace_format!r}")
         config = SimConfig.from_dict(config_data)
-        n = config.n_relays
-        trial = _Trial(config)
-        rows = _gain_rows(config)
-        expected_slot = 0
-        for line in fh:
-            try:
-                rec = json.loads(line)
-                slot = rec["slot"]
-            except (ValueError, KeyError, TypeError) as exc:
-                return _malformed(expected_slot, exc)
-            if slot != expected_slot:
-                return ReplayResult(False, slot, f"expected slot {expected_slot}")
-            # run_trial stops after the last slot, or after the drain slot
-            # that resolves the last message
-            if slot >= config.n_slots and trial.pending is None:
-                return ReplayResult(False, slot, "record past the end of the run")
-            g_sl, g_ld = next(rows)
-            drawn = g_sl + g_ld
-            try:
-                gains = _recorded_gains(rec, n, trace_format, drawn)
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                return _malformed(slot, exc)
-            if gains != drawn:
-                mismatch = _gain_mismatch(gains, drawn, n)
-                if mismatch is not None:
-                    return ReplayResult(False, slot, mismatch)
-            _, computed = trial.step(slot, gains[:n], gains[n:], want_record=True)
-            if trace_format == TRACE_FORMAT:
-                computed["battery"] = _pack(computed["battery"])
-            for key in _REPLAY_FIELDS:
-                if computed[key] != rec.get(key):
-                    return ReplayResult(
-                        False,
-                        slot,
-                        f"{key}: recomputed {computed[key]!r} != recorded {rec.get(key)!r}",
-                    )
-            expected_slot += 1
+        if trace_format == TRACE_FORMAT:
+            # a missing line (None) on either side differs too
+            for step, line in zip_longest(_trace_lines(config), fh):
+                if step is None or step[1] != line:
+                    break
+            else:
+                return ReplayResult(True)
+            fh.seek(0)
+            fh.readline()
+        return _verify_records(fh, config, trace_format)
+
+
+def _verify_records(fh, config: SimConfig, trace_format: int) -> ReplayResult:
+    """Parse and check the records of fh, read from just past the header,
+    one by one against a _Trial stepped on their recorded gains."""
+    n = config.n_relays
+    trial = _Trial(config)
+    rows = _gain_rows(config)
+    expected_slot = 0
+    for line in fh:
+        try:
+            rec = json.loads(line)
+            slot = rec["slot"]
+            if type(slot) is not int:
+                raise TypeError(f"slot must be an integer, got {slot!r}")
+        except (ValueError, KeyError, TypeError) as exc:
+            return _malformed(expected_slot, exc)
+        if slot != expected_slot:
+            return ReplayResult(False, slot, f"expected slot {expected_slot}")
+        # run_trial stops after the last slot, or after the drain slot
+        # that resolves the last message
+        if slot >= config.n_slots and trial.pending is None:
+            return ReplayResult(False, slot, "record past the end of the run")
+        g_sl, g_ld = next(rows)
+        drawn = g_sl + g_ld
+        try:
+            gains = _recorded_gains(rec, n, trace_format, drawn)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            return _malformed(slot, exc)
+        if gains != drawn:
+            mismatch = _gain_mismatch(gains, drawn, n)
+            if mismatch is not None:
+                return ReplayResult(False, slot, mismatch)
+        _, computed = trial.step(slot, gains[:n], gains[n:], want_record=True)
+        if trace_format == TRACE_FORMAT:
+            computed["battery"] = _pack(computed["battery"])
+        for key in _REPLAY_FIELDS:
+            if not _json_equal(computed[key], rec.get(key)):
+                return ReplayResult(
+                    False,
+                    slot,
+                    f"{key}: recomputed {computed[key]!r} != recorded {rec.get(key)!r}",
+                )
+        expected_slot += 1
     if trial.pending is not None:
         return ReplayResult(False, expected_slot, "trace ends with an unresolved message")
     return ReplayResult(True)

@@ -8,12 +8,13 @@ which turns curve comparisons into paired ones and makes the expected
 monotonic trends hold sharply at finite sample sizes.
 
 A sweep runs as one job per gain field: the grid points that differ only
-in rate and pre-selection size. A job of two or more points steps them in
-lockstep (engine.run_batch); a single point runs the scalar engine. Jobs
-go to a process pool only when there are two or more of them and more
-than one worker; otherwise they run in this process. compare_policies is
-one mrs sweep over M = 1..N x rates (M* and both mrs curves) plus the srs
-curve: two lockstep runs.
+in rate and pre-selection size. A job of up to SCALAR_GROUP points runs
+each on the scalar engine (engine.run_trial), which is faster there; a
+larger one steps its points in lockstep (engine.run_batch). Jobs go to a
+process pool only when there are two or more of them and more than one
+worker; otherwise they run in this process. compare_policies is one mrs
+sweep over M = 1..N x rates (M* and both mrs curves) plus the srs curve:
+two jobs on one gain field.
 
 Both engines return a count of each Outcome per config, and _summarize is
 the one place that turns such a count into an OutageEstimate. Configs
@@ -44,6 +45,11 @@ from swiptrelay.engine import (
 from swiptrelay.errors import ConfigError
 
 _log = logging.getLogger(__name__)
+
+# the largest job that runs as separate run_trial calls: on a 2-core VM a
+# lockstep run of K = 3 points costs 2.0x (srs, N = 5) and 1.2x (mrs,
+# N = 10, M = 4) the three scalar runs; mrs lockstep breaks even near K = 4
+SCALAR_GROUP = 3
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,10 @@ def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
 def _estimate_job(args: tuple[list[SimConfig], float]) -> list[OutageEstimate]:
     """Estimates for configs that share one gain field."""
     configs, z = args
-    tallies = [run_trial(configs[0])] if len(configs) == 1 else run_batch(configs)
+    if len(configs) <= SCALAR_GROUP:
+        tallies = [run_trial(config) for config in configs]
+    else:
+        tallies = run_batch(configs)
     return [_summarize(tally, z) for tally in tallies]
 
 

@@ -626,6 +626,34 @@ def test_replay_record_past_the_end_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "key,retype",
+    [
+        ("slot", lambda slot: True if slot == 1 else None),
+        ("forwarder", lambda fwd: None if fwd is None else float(fwd)),
+        ("designated", lambda ids: [float(i) for i in ids] or None),
+    ],
+)
+def test_replay_tells_json_types_apart_exits_1(tmp_path, capsys, key, retype):
+    """A record whose ids are == to the recomputed ones but of another JSON
+    type (true for 1, 1.0 for 1) fails replay."""
+    trace = tmp_path / "t.jsonl"
+    run_cli("run", "--messages", "80", "--seed", "5",
+            "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    for i, rec in enumerate(map(json.loads, lines[1:]), 1):
+        value = retype(rec[key])
+        if value is not None:
+            lines[i] = json.dumps({**rec, key: value})
+            break
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli("replay", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert f"replay failed at slot {rec['slot']}: " in err
+    assert "Traceback" not in err
+
+
 def test_replay_non_numeric_header_value_exits_1(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     run_cli("run", "--messages", "80", "--seed", "5",

@@ -672,6 +672,9 @@ def _unread(rec, prev, value):
         lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, "a")}),
         lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, math.nan)}),
         lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, True)}),
+        # slots that == calls equal to 4
+        lambda rec, prev: json.dumps({**rec, "slot": 4.0}),
+        lambda rec, prev: json.dumps({**rec, "slot": True, "forwarder": None}),
     ],
 )
 def test_replay_reports_malformed_records(tmp_path, edit):
@@ -880,6 +883,114 @@ def test_replay_memory_does_not_grow_with_the_trace_length(tmp_path):
     assert long - short < 50_000
 
 
+# values that == calls equal to the recorded ones: True == 1 == 1.0
+_RETYPED = {
+    "slot": (lambda rec: rec["slot"] == 1, lambda slot: True),
+    "forwarder": (lambda rec: rec["forwarder"] is not None, float),
+    "designated": (lambda rec: rec["designated"], lambda ids: [float(i) for i in ids]),
+    "outcomes": (lambda rec: rec["outcomes"], lambda pairs: [[float(m), o] for m, o in pairs]),
+}
+
+
+@pytest.mark.parametrize("key", list(_RETYPED))
+def test_replay_tells_json_types_apart(tmp_path, key):
+    """A record matches only in value and JSON type: true is not 1, and 1
+    is not 1.0."""
+    path = _write_trace(tmp_path)
+    applies, retype = _RETYPED[key]
+    found = []
+
+    def edit(lines):
+        i, rec = next((i, rec) for i, rec in enumerate(map(json.loads, lines[1:]), 1)
+                      if applies(rec))
+        found.append(rec["slot"])
+        rec[key] = retype(rec[key])
+        lines[i] = json.dumps(rec)
+
+    _edit_trace(path, edit)
+    result = replay_check(path)
+    assert not result.ok
+    assert result.divergent_slot == found[0]
+    if key == "slot":
+        assert result.detail == "malformed record (TypeError: slot must be an integer, got True)"
+    else:
+        assert result.detail.startswith(f"{key}: recomputed ")
+
+
+def test_replay_of_an_unchanged_trace_parses_no_record(tmp_path):
+    """A format 2 trace that matches run_trial's lines byte for byte is ok
+    without the record verifier: json.loads reads the header alone."""
+    path = _write_trace(tmp_path)
+    with mock.patch.object(engine, "_verify_records", side_effect=AssertionError("verified")), \
+            mock.patch("json.loads", wraps=json.loads) as loads:
+        assert replay_check(path).ok
+    assert loads.call_count == 1
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 3])
+def test_replay_of_a_trace_drawn_a_few_ulps_off_takes_the_record_verifier(tmp_path, ulps):
+    """A trace written on a CPU whose log1p rounds differently differs from
+    the lines drawn here; the record verifier decides, and finds it ok."""
+    with _draws_off_by(ulps):
+        path = _write_trace(tmp_path)
+    with mock.patch.object(engine, "_verify_records", wraps=engine._verify_records) as verify:
+        assert replay_check(path).ok
+    assert verify.call_count == 1
+
+
+def _json_lines(cfg):
+    """cfg's trace record lines as json.dumps writes step's records, with
+    the batteries and gains packed: the reference for _trace_lines."""
+    n = cfg.n_relays
+    trial = _Trial(cfg)
+    rows = np.concatenate([np.hstack(pair) for pair in _gain_blocks(cfg)]).tolist()
+    lines = []
+    for slot, row in enumerate(rows):
+        if slot >= cfg.n_slots and trial.pending is None:
+            break
+        _, rec = trial.step(slot, row[:n], row[n:], want_record=True)
+        rec["battery"] = _packed(rec["battery"])
+        rec["gains"] = _packed(row)
+        lines.append(json.dumps(rec) + "\n")
+    return lines
+
+
+def _drains(cfg, recs):
+    return recs[-1]["slot"] == cfg.n_slots
+
+
+@pytest.mark.parametrize(
+    "kw,covers",
+    [
+        # every trace starts with a null forwarder; srs slots that resolve
+        # the forwarded message and a failed or unserved broadcast
+        (dict(policy="srs", n_relays=5, eta=0.02, schedule="pipelined", n_slots=300, seed=1),
+         lambda cfg, recs: any(len(rec["outcomes"]) == 2 for rec in recs)),
+        (dict(policy="srs", n_relays=2, schedule="framed", n_slots=61, warmup_slots=11, seed=4),
+         _drains),
+        (dict(policy="mrs", m=4, n_relays=10, eta=0.05, target_rate=0.0, n_slots=200, seed=2),
+         lambda cfg, recs: any(rec["tx_power"] == 0.0 for rec in recs)),
+        (dict(policy="mrs", m=1, n_relays=1, schedule="framed", n_slots=101, warmup_slots=7,
+              seed=3), _drains),
+        (dict(policy="srs", n_relays=1, sense_threshold=0.3, n_slots=100, seed=4),
+         lambda cfg, recs: recs[0]["forwarder"] is None),
+    ],
+    ids=["srs-two-outcomes", "srs-framed-drain", "mrs-rate-0", "mrs-n1-framed-drain", "srs-n1"],
+)
+def test_trace_lines_are_json_dumps_of_the_records(kw, covers):
+    cfg = SimConfig(**kw)
+    expected = _json_lines(cfg)
+    assert [line for _, line in engine._trace_lines(cfg)] == expected
+    assert covers(cfg, [json.loads(line) for line in expected])
+
+
+def test_traced_run_checks_the_ledger_every_slot(tmp_path):
+    cfg = mrs_cfg(n_slots=61, seed=9)
+    with mock.patch.object(_Trial, "_check_slot", autospec=True) as check:
+        run_trial(cfg, trace_path=tmp_path / "t.jsonl", check_invariants=True)
+    assert check.call_count == cfg.n_slots + 1   # the framed run's drain slot too
+
+
 # -- gain blocks and the lockstep batch engine --------------------------------
 
 
@@ -944,6 +1055,16 @@ def test_run_batch_counts_equal_run_trial_tallies(configs, block, draw):
         batch = run_batch(configs)
         tallies = [run_trial(cfg) for cfg in configs]
     assert batch == tallies
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs=gain_field_groups(), draw=st.sampled_from([draw_gain, _coarse_draw]))
+def test_trace_lines_are_json_dumps_of_random_configs(configs, draw):
+    """The trace template against json.dumps, on the configs of the run_batch
+    test: zero and tied gains, rate 0, warmup, both schedules, N = 1."""
+    with mock.patch.object(engine, "draw_gain", draw):
+        for cfg in configs:
+            assert [line for _, line in engine._trace_lines(cfg)] == _json_lines(cfg)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 16])

@@ -121,6 +121,25 @@ def test_sweep_groups_match_scalar_estimates(policy, workers):
     assert results == [SweepResult(r.config, estimate_outage(r.config)) for r in results]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_sweep_runs_small_groups_as_separate_scalar_runs(monkeypatch, k):
+    calls = []
+
+    def counting(engine, run):
+        def wrapper(arg, **kwargs):
+            calls.append(engine)
+            return run(arg, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "run_trial", counting("scalar", run_trial))
+    monkeypatch.setattr(harness, "run_batch", counting("lockstep", run_batch))
+    rates = [0.5 + 0.25 * i for i in range(k)]
+    results = sweep(_spec(rates=rates))
+    scalar = k <= harness.SCALAR_GROUP
+    assert calls == (["scalar"] * k if scalar else ["lockstep"])
+    assert results == [SweepResult(r.config, estimate_outage(r.config)) for r in results]
+
+
 def _no_pool(*args, **kwargs):
     raise AssertionError("a process pool was started")
 
@@ -224,12 +243,13 @@ def test_compare_policies_structure_and_pairing():
 @pytest.mark.parametrize("rates", [[0.5, 1.0], [0.7, 1.3]], ids=["with-base", "without-base"])
 def test_compare_policies_runs_one_mrs_grid_and_the_srs_curve(monkeypatch, rates):
     groups = []
+    estimate_job = harness._estimate_job
 
-    def counting_run_batch(configs):
-        groups.append(sorted({(c.policy, c.m, c.target_rate) for c in configs}))
-        return run_batch(configs)
+    def counting_estimate_job(job):
+        groups.append(sorted({(c.policy, c.m, c.target_rate) for c in job[0]}))
+        return estimate_job(job)
 
-    monkeypatch.setattr(harness, "run_batch", counting_run_batch)
+    monkeypatch.setattr(harness, "_estimate_job", counting_estimate_job)
     base = SimConfig(n_relays=4, eta=0.3, seed=4)
     report = compare_policies(base, rates=rates, messages=300)
     grid_rates = sorted({*rates, 1.0})
