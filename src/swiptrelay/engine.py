@@ -35,14 +35,16 @@ the resolved outcomes, the batteries after the slot and the slot's gains.
 Format 2 traces (header "format": 2) pack the batteries and the gains as
 base64 of little-endian float64s, exact and cheap to write and read;
 format 1 traces, whose header has no "format", hold them as JSON numbers.
-run_trial writes each record line from one template (_trace_lines), whose
-bytes are those of json.dumps of the record. replay_check regenerates a
-format 2 trace's lines from its header and compares bytes, parsing records
-only from the first line that differs. From there, and for a format 1
-trace, the record verifier decides: it steps on the recorded gains, after
-checking that they are the seed's draws to within GAIN_ULPS, the rounding
-by which numpy's log1p may differ between CPUs. So a trace written on a
-CPU that rounds differently replays ok, at the verifier's full cost.
+run_trial writes each record line from one template (_trace_line), whose
+bytes are those of json.dumps of the record. replay_check reads a trace
+once and steps each record once. A format 2 line that ends with the
+seed's draw for its slot is stepped on that draw, and it is ok unparsed
+if it equals the line the template renders. Any other line, and every
+format 1 record, is parsed: its gains must lie within GAIN_ULPS of the
+seed's draw, the rounding by which numpy's log1p may differ between CPUs,
+and the step on them must match the record in value and JSON type. So a
+trace written on a CPU that rounds differently replays ok, at the cost of
+parsing every record.
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
@@ -63,13 +65,14 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import enum
+import functools
 import json
 import math
 import numbers
 import struct
 from dataclasses import asdict, dataclass, fields
-from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -147,25 +150,6 @@ class SimConfig:
     def __post_init__(self):
         self.validate()
 
-    @property
-    def source_power_w(self) -> float:
-        return dbw_to_watts(self.source_power_dbw)
-
-    @property
-    def relay_power_w(self) -> float:
-        return dbw_to_watts(self.relay_power_dbw)
-
-    @property
-    def fixed_tx_energy(self) -> float:
-        """Energy of one fixed-power (srs) transmission, joules."""
-        return self.relay_power_w * self.slot_duration
-
-    @property
-    def initial_energy_j(self) -> float:
-        if self.initial_energy is not None:
-            return self.initial_energy
-        return 10.0 * self.fixed_tx_energy
-
     def validate(self) -> "SimConfig":
         for f in fields(self):
             value = getattr(self, f.name)
@@ -212,8 +196,8 @@ class SimConfig:
         # constants the engines derive; overflow or underflow to 0 would
         # surface there as OverflowError or ZeroDivisionError
         for name, derive in (
-            ("source_power_dbw", lambda: self.source_power_w),
-            ("relay_power_dbw", lambda: self.relay_power_w),
+            ("source_power_dbw", lambda: dbw_to_watts(self.source_power_dbw)),
+            ("relay_power_dbw", lambda: dbw_to_watts(self.relay_power_dbw)),
             ("distance", lambda: self.distance**PATH_LOSS_EXP),
             ("target_rate", lambda: 2.0 ** (2.0 * self.target_rate)),
         ):
@@ -319,17 +303,22 @@ _CONSTANT_KEYS = {
 
 
 def _constants(config: SimConfig) -> _Constants:
+    source_power = dbw_to_watts(config.source_power_dbw)
+    relay_power = dbw_to_watts(config.relay_power_dbw)
+    fixed_cost = relay_power * config.slot_duration
     # "link rate >= target rate" as a gain threshold: numerator / power
     numerator = inversion_numerator(config.target_rate, config.noise_var, config.distance)
     return _Constants(
         numerator=numerator,
-        decode_min=numerator / config.source_power_w,
-        forward_min=numerator / config.relay_power_w,
-        tx_power=config.relay_power_w,
-        fixed_cost=config.fixed_tx_energy,
-        harvest_scale=config.eta * config.source_power_w,
+        decode_min=numerator / source_power,
+        forward_min=numerator / relay_power,
+        tx_power=relay_power,
+        fixed_cost=fixed_cost,
+        harvest_scale=config.eta * source_power,
         path_loss=config.distance**PATH_LOSS_EXP,
-        initial_energy=config.initial_energy_j,
+        initial_energy=(
+            10.0 * fixed_cost if config.initial_energy is None else config.initial_energy
+        ),
     )
 
 
@@ -358,30 +347,18 @@ def _gain_draws(config: SimConfig):
         left -= block
 
 
-def _gain_blocks(config: SimConfig):
-    """Yield the run's gains as (g_sl, g_ld) pairs of (block, N) arrays."""
-    n = config.n_relays
-    for gains in _gain_draws(config):
-        yield gains[:, :n], gains[:, n:]
-
-
 def _gain_rows(config: SimConfig):
-    """Yield each slot's gains as (g_sl, g_ld) lists of floats, one row of
-    _gain_blocks at a time: a whole block as lists would raise peak memory."""
-    for g_sl, g_ld in _gain_blocks(config):
-        for sl, ld in zip(g_sl, g_ld):
-            yield sl.tolist(), ld.tolist()
-
-
-def _pack(values) -> str:
-    """Floats as base64 of their little-endian float64 bytes: exact on any
-    CPU, and far cheaper to write and read than JSON numbers."""
-    return binascii.b2a_base64(struct.pack(f"<{len(values)}d", *values), newline=False).decode()
+    """Yield each slot's gains, g_sl then g_ld, as a row of little-endian
+    float64s: one row of _gain_draws at a time, never a whole block as
+    floats, which would raise peak memory."""
+    for gains in _gain_draws(config):
+        yield from gains.astype("<f8", copy=False)
 
 
 def _unpack(text, count: int) -> list:
-    """The count finite floats that _pack wrote as text; a ValueError or
-    TypeError refuses anything else."""
+    """The count finite floats packed in text as base64 of their
+    little-endian float64 bytes; a ValueError or TypeError refuses anything
+    else."""
     raw = base64.b64decode(text, validate=True)
     if len(raw) != 8 * count:
         raise ValueError(f"packed floats must be {count} float64s")
@@ -522,42 +499,32 @@ class _Trial:
 
 # a trace record's JSON outcome pair, after the message id
 _OUTCOME_TAILS = {res: f', "{res.value}"]' for res in Outcome}
+# the end of _trace_line's template: a format 2 record line ends with its
+# gains, so replay can find them unparsed
+_GAINS_TAIL = b', "gains": "%s"}\n'
+# bytes as base64 on one line; a partial adds no Python frame per call
+_b64 = functools.partial(binascii.b2a_base64, newline=False)
 
 
-def _trace_lines(config: SimConfig, check: bool = False):
-    """Step a _Trial over the seed's gains as run_trial does, yielding each
-    slot's resolved (message, outcome) pairs and its trace record line.
+def _trace_line(slot: int, fields: tuple, battery: str, gains: str) -> str:
+    """The format 2 trace line of a slot that _Trial._advance stepped and
+    returned fields for, with battery and gains packed as base64 of
+    little-endian float64s.
 
-    The line is the bytes of json.dumps(record) + "\n" for step's record
-    with the batteries and gains packed, built from one template: ids are
-    Python ints and lists of them, whose repr is their JSON, and tx_power is
-    always finite, so its repr is too. The gains are packed straight from
-    the drawn row, converted to floats one row at a time.
+    The bytes are those of json.dumps(record) + "\n" for step's record with
+    the batteries and gains packed: ids are Python ints and lists of them,
+    whose repr is their JSON, and tx_power is always finite, so its repr is
+    too.
     """
-    trial = _Trial(config)
-    n, n_slots = config.n_relays, config.n_slots
-    pack_battery = struct.Struct(f"<{n}d").pack
-    b64 = binascii.b2a_base64
-    slot = 0
-    for gains in _gain_draws(config):
-        for row in gains.astype("<f8", copy=False):
-            if slot >= n_slots and trial.pending is None:
-                return
-            values = row.tolist()
-            resolved, forwarder, tx_power, designated, decoded = trial._advance(
-                slot, values[:n], values[n:], check
-            )
-            outcomes = ", ".join([f"[{msg}{_OUTCOME_TAILS[res]}" for msg, res in resolved])
-            battery = b64(pack_battery(*trial.battery), newline=False).decode()
-            yield resolved, (
-                f'{{"slot": {slot}, '
-                f'"forwarder": {"null" if forwarder is None else forwarder}, '
-                f'"tx_power": {"null" if tx_power is None else repr(tx_power)}, '
-                f'"designated": {designated!r}, "decoded": {decoded!r}, '
-                f'"outcomes": [{outcomes}], "battery": "{battery}", '
-                f'"gains": "{b64(row, newline=False).decode()}"}}\n'
-            )
-            slot += 1
+    resolved, forwarder, tx_power, designated, decoded = fields
+    outcomes = ", ".join([f"[{msg}{_OUTCOME_TAILS[res]}" for msg, res in resolved])
+    return (
+        f'{{"slot": {slot}, '
+        f'"forwarder": {"null" if forwarder is None else forwarder}, '
+        f'"tx_power": {"null" if tx_power is None else repr(tx_power)}, '
+        f'"designated": {designated!r}, "decoded": {decoded!r}, '
+        f'"outcomes": [{outcomes}], "battery": "{battery}", "gains": "{gains}"}}\n'
+    )
 
 
 def run_trial(
@@ -574,34 +541,36 @@ def run_trial(
     the config header, then one JSON record per slot with the batteries and
     gains packed; its outcomes field holds each message's resolution.
     """
+    n, n_slots = config.n_relays, config.n_slots
     warmup = config.warmup_messages()
     tally = dict.fromkeys(Outcome, 0)
-    if trace_path is None:
-        trial = _Trial(config)
-        for slot, (g_sl, g_ld) in enumerate(_gain_rows(config)):
-            if slot >= config.n_slots and trial.pending is None:
+    trial = _Trial(config)
+    tracing = trace_path is not None
+    if tracing:
+        directory = Path(trace_path).parent
+        if not directory.exists():
+            directory.mkdir(parents=True, exist_ok=True)
+    with open(trace_path, "w", newline="\n") if tracing else contextlib.nullcontext() as writer:
+        if tracing:
+            header = {
+                "kind": "config",
+                "version": __version__,
+                "format": TRACE_FORMAT,
+                "config": config.to_dict(),
+            }
+            writer.write(json.dumps(header) + "\n")
+            pack_battery = struct.Struct(f"<{n}d").pack
+        for slot, row in enumerate(_gain_rows(config)):
+            if slot >= n_slots and trial.pending is None:
                 break
-            resolved = trial._advance(slot, g_sl, g_ld, check_invariants)[0]
-            for msg, result in resolved:
+            values = row.tolist()
+            fields = trial._advance(slot, values[:n], values[n:], check_invariants)
+            for msg, result in fields[0]:
                 if msg >= warmup:
                     tally[result] += 1
-        return tally
-    directory = Path(trace_path).parent
-    if not directory.exists():
-        directory.mkdir(parents=True, exist_ok=True)
-    with open(trace_path, "w", newline="\n") as writer:
-        header = {
-            "kind": "config",
-            "version": __version__,
-            "format": TRACE_FORMAT,
-            "config": config.to_dict(),
-        }
-        writer.write(json.dumps(header) + "\n")
-        for resolved, line in _trace_lines(config, check_invariants):
-            for msg, result in resolved:
-                if msg >= warmup:
-                    tally[result] += 1
-            writer.write(line)
+            if tracing:
+                battery = _b64(pack_battery(*trial.battery)).decode()
+                writer.write(_trace_line(slot, fields, battery, _b64(row).decode()))
     return tally
 
 
@@ -665,7 +634,8 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     warmup = first.warmup_messages()
     message = held = slot = 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for g_sl, g_ld in _gain_blocks(first):
+        for gains in _gain_draws(first):
+            g_sl, g_ld = gains[:, :n], gains[:, n:]
             harvest = shared.harvest_scale * g_sl * slot_duration / shared.path_loss
             harvest[harvest < first.sense_threshold] = 0.0
             for b in range(len(g_sl)):
@@ -760,13 +730,11 @@ _REPLAY_FIELDS = ("forwarder", "tx_power", "designated", "decoded", "outcomes", 
 _GAIN_TYPES = frozenset((float, int))  # what json.loads makes of a number; bool is neither
 
 
-def _recorded_gains(rec: dict, n: int, trace_format: int, drawn: list) -> list:
-    """The 2n gains a record was stepped on, g_sl then g_ld: drawn itself
-    when a format 2 record packed exactly those. A ValueError or TypeError
-    refuses gains that are not 2n finite numbers."""
+def _recorded_gains(rec: dict, n: int, trace_format: int) -> list:
+    """The 2n gains a record was stepped on, g_sl then g_ld. A ValueError or
+    TypeError refuses gains that are not 2n finite numbers."""
     if trace_format == TRACE_FORMAT:
-        packed = rec["gains"]
-        return drawn if packed == _pack(drawn) else _unpack(packed, 2 * n)
+        return _unpack(rec["gains"], 2 * n)
     g_sl, g_ld = rec["g_sl"], rec["g_ld"]
     if len(g_sl) != n or len(g_ld) != n:
         raise ValueError(f"gain lists must have {n} entries")
@@ -806,27 +774,53 @@ def _gain_mismatch(recorded: list, drawn: list, n: int) -> str | None:
     return None
 
 
+def _parse_record(line: bytes, slot: int, drawn: list | None, n: int, trace_format: int):
+    """Parse the record line of a slot and check it as far as the step: its
+    slot number, and its gains against drawn, the seed's draw for the slot,
+    or None past the end of the run. Returns (record, gains), or the
+    ReplayResult that refuses the line."""
+    try:
+        rec = json.loads(line.decode())
+        recorded_slot = rec["slot"]
+        if type(recorded_slot) is not int:
+            raise TypeError(f"slot must be an integer, got {recorded_slot!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        return _malformed(slot, exc)
+    if recorded_slot != slot:
+        return ReplayResult(False, recorded_slot, f"expected slot {slot}")
+    if drawn is None:
+        return ReplayResult(False, slot, "record past the end of the run")
+    try:
+        gains = _recorded_gains(rec, n, trace_format)
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        return _malformed(slot, exc)
+    if gains != drawn:
+        mismatch = _gain_mismatch(gains, drawn, n)
+        if mismatch is not None:
+            return ReplayResult(False, slot, mismatch)
+    return rec, gains
+
+
 def replay_check(trace_path) -> ReplayResult:
     """Recompute every state transition of a trace on its recorded gains.
 
-    The file is read one line at a time. A format 2 trace is first compared
-    byte for byte with the lines run_trial writes for its header's config:
-    if every line matches, it is ok without parsing a record. Otherwise, and
-    for a format 1 trace, the record verifier (_verify_records) decides from
-    the first record on: each record's gains must lie within GAIN_ULPS of
-    the seed's draw for that slot, drawn again as run_trial draws them, and
-    the step on the recorded gains must match the record bit-exactly and in
-    JSON type. numpy's log1p rounds differently on some CPUs, so a trace
-    written on another CPU takes the verifier, and replays ok there too.
-    Returns ok=True iff every record matches; otherwise reports the first
-    divergent slot.
+    The file is read once, one line at a time, and each record is stepped
+    once. A format 2 line that ends with the seed's draw for its slot, drawn
+    again as run_trial draws it, is stepped on that draw; if it then equals
+    the line run_trial writes, it is ok without being parsed. Any other
+    line, and every format 1 record, is parsed and checked: its gains must
+    lie within GAIN_ULPS of the seed's draw, and the step on them must match
+    the record bit-exactly and in JSON type. numpy's log1p rounds
+    differently on some CPUs, so every record of a trace written on another
+    CPU is parsed, and it replays ok there too. Returns ok=True iff every
+    record matches; otherwise reports the first divergent slot.
     """
-    with open(trace_path) as fh:
+    with open(trace_path, "rb") as fh:
         first = fh.readline()
         if not first:
             return ReplayResult(False, None, "empty trace")
         try:
-            header = json.loads(first)
+            header = json.loads(first.decode())
             config_data = header["config"] if header.get("kind") == "config" else None
         except (ValueError, KeyError, AttributeError):
             config_data = None
@@ -837,60 +831,48 @@ def replay_check(trace_path) -> ReplayResult:
         if type(trace_format) is not int or trace_format not in (1, TRACE_FORMAT):
             return ReplayResult(False, None, f"unknown trace format {trace_format!r}")
         config = SimConfig.from_dict(config_data)
-        if trace_format == TRACE_FORMAT:
-            # a missing line (None) on either side differs too
-            for step, line in zip_longest(_trace_lines(config), fh):
-                if step is None or step[1] != line:
-                    break
+        n, n_slots, packed = config.n_relays, config.n_slots, trace_format == TRACE_FORMAT
+        pack_battery = struct.Struct(f"<{n}d").pack
+        trial = _Trial(config)
+        rows = _gain_rows(config)
+        slot = 0
+        for line in fh:
+            # run_trial stops after the last slot, or after the drain slot
+            # that resolves the last message: refuse any line past the end
+            if slot >= n_slots and trial.pending is None:
+                return _parse_record(line, slot, None, n, trace_format)
+            row = next(rows)
+            drawn, rec = row.tolist(), None
+            gains = _b64(row) if packed else None
+            # the ", " before the tail leaves its quotes unescaped, and
+            # json.loads keeps the last of repeated keys: a line that ends
+            # with the tail and parses holds exactly these gains
+            if packed and line.endswith(_GAINS_TAIL % gains):
+                recorded = drawn
             else:
-                return ReplayResult(True)
-            fh.seek(0)
-            fh.readline()
-        return _verify_records(fh, config, trace_format)
-
-
-def _verify_records(fh, config: SimConfig, trace_format: int) -> ReplayResult:
-    """Parse and check the records of fh, read from just past the header,
-    one by one against a _Trial stepped on their recorded gains."""
-    n = config.n_relays
-    trial = _Trial(config)
-    rows = _gain_rows(config)
-    expected_slot = 0
-    for line in fh:
-        try:
-            rec = json.loads(line)
-            slot = rec["slot"]
-            if type(slot) is not int:
-                raise TypeError(f"slot must be an integer, got {slot!r}")
-        except (ValueError, KeyError, TypeError) as exc:
-            return _malformed(expected_slot, exc)
-        if slot != expected_slot:
-            return ReplayResult(False, slot, f"expected slot {expected_slot}")
-        # run_trial stops after the last slot, or after the drain slot
-        # that resolves the last message
-        if slot >= config.n_slots and trial.pending is None:
-            return ReplayResult(False, slot, "record past the end of the run")
-        g_sl, g_ld = next(rows)
-        drawn = g_sl + g_ld
-        try:
-            gains = _recorded_gains(rec, n, trace_format, drawn)
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            return _malformed(slot, exc)
-        if gains != drawn:
-            mismatch = _gain_mismatch(gains, drawn, n)
-            if mismatch is not None:
-                return ReplayResult(False, slot, mismatch)
-        _, computed = trial.step(slot, gains[:n], gains[n:], want_record=True)
-        if trace_format == TRACE_FORMAT:
-            computed["battery"] = _pack(computed["battery"])
-        for key in _REPLAY_FIELDS:
-            if not _json_equal(computed[key], rec.get(key)):
-                return ReplayResult(
-                    False,
-                    slot,
-                    f"{key}: recomputed {computed[key]!r} != recorded {rec.get(key)!r}",
-                )
-        expected_slot += 1
+                checked = _parse_record(line, slot, drawn, n, trace_format)
+                if isinstance(checked, ReplayResult):
+                    return checked
+                rec, recorded = checked
+            fields = trial._advance(slot, recorded[:n], recorded[n:], False)
+            battery = _b64(pack_battery(*trial.battery)).decode() if packed else list(trial.battery)
+            if rec is None:
+                if line == _trace_line(slot, fields, battery, gains.decode()).encode():
+                    slot += 1
+                    continue
+                checked = _parse_record(line, slot, drawn, n, trace_format)
+                if isinstance(checked, ReplayResult):
+                    return checked
+                rec = checked[0]
+            resolved, forwarder, tx_power, designated, decoded = fields
+            outcomes = [[msg, res.value] for msg, res in resolved]
+            computed = (forwarder, tx_power, designated, decoded, outcomes, battery)
+            for key, value in zip(_REPLAY_FIELDS, computed):
+                if not _json_equal(value, rec.get(key)):
+                    return ReplayResult(
+                        False, slot, f"{key}: recomputed {value!r} != recorded {rec.get(key)!r}"
+                    )
+            slot += 1
     if trial.pending is not None:
-        return ReplayResult(False, expected_slot, "trace ends with an unresolved message")
+        return ReplayResult(False, slot, "trace ends with an unresolved message")
     return ReplayResult(True)

@@ -72,8 +72,8 @@ def test_min_gain_for_rate_inverts_link_rate():
     for rate in (0.25, 1.0, 2.0, 3.5):
         cfg = SimConfig(target_rate=rate, **kw).validate()
         k = _constants(cfg)
-        assert link_rate(k.decode_min, cfg.source_power_w, 2.0, 1.5) == pytest.approx(rate)
-        assert link_rate(k.forward_min, cfg.relay_power_w, 2.0, 1.5) == pytest.approx(rate)
+        assert link_rate(k.decode_min, dbw_to_watts(10.0), 2.0, 1.5) == pytest.approx(rate)
+        assert link_rate(k.forward_min, k.tx_power, 2.0, 1.5) == pytest.approx(rate)
     k = _constants(SimConfig(target_rate=0.0, **kw))
     assert k.decode_min == k.forward_min == 0.0
 

@@ -626,6 +626,19 @@ def test_replay_record_past_the_end_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_replay_of_a_line_that_is_not_utf8_exits_1(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    run_cli("run", "--messages", "80", "--seed", "5",
+            "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
+    with open(trace, "ab") as fh:
+        fh.write(b'\xff\xfe{"slot": 2}\n')
+    capsys.readouterr()
+    assert run_cli("replay", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert "replay failed at slot 81: malformed record (UnicodeDecodeError: " in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "key,retype",
     [

@@ -11,6 +11,7 @@ import base64
 import json
 import math
 import shutil
+import tempfile
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
@@ -28,7 +29,8 @@ from swiptrelay.engine import (
     Outcome,
     ReplayResult,
     SimConfig,
-    _gain_blocks,
+    _constants,
+    _gain_draws,
     _Trial,
     replay_check,
     run_batch,
@@ -195,12 +197,12 @@ def test_config_is_frozen():
 
 
 def test_config_derived_quantities():
-    cfg = SimConfig()
-    assert cfg.source_power_w == pytest.approx(10.0)
-    assert cfg.relay_power_w == pytest.approx(10.0)
-    assert cfg.fixed_tx_energy == pytest.approx(10.0)
-    assert cfg.initial_energy_j == pytest.approx(100.0)  # 10 transmissions
-    assert SimConfig(initial_energy=7.0).initial_energy_j == 7.0
+    k = _constants(SimConfig())
+    assert k.harvest_scale == pytest.approx(0.5 * 10.0)  # eta x source power
+    assert k.tx_power == pytest.approx(10.0)
+    assert k.fixed_cost == pytest.approx(10.0)
+    assert k.initial_energy == pytest.approx(100.0)  # 10 transmissions
+    assert _constants(SimConfig(initial_energy=7.0)).initial_energy == 7.0
 
 
 def test_message_accounting_pipelined():
@@ -437,7 +439,7 @@ def test_same_seed_same_gain_field_across_rates(tmp_path):
     gains = {}
     for rate in (0.5, 2.0):
         cfg = SimConfig(n_slots=50, seed=5, target_rate=rate)
-        gains[rate] = np.concatenate([np.hstack(pair) for pair in _gain_blocks(cfg)])
+        gains[rate] = np.concatenate(list(_gain_draws(cfg)))
         # replay steps on these rows, so an ok replay ties the run to them
         trace = tmp_path / f"r{rate}.jsonl"
         run_trial(cfg, trace_path=trace)
@@ -701,7 +703,7 @@ def test_trace_records_pack_batteries_and_gains(tmp_path):
     header = json.loads(lines[0])
     assert header["format"] == 2
     cfg = SimConfig.from_dict(header["config"])
-    rows = np.concatenate([np.hstack(pair) for pair in _gain_blocks(cfg)])
+    rows = np.concatenate(list(_gain_draws(cfg)))
     trial = _Trial(cfg)
     for line, row in zip(lines[1:], rows):
         rec = json.loads(line)
@@ -919,10 +921,9 @@ def test_replay_tells_json_types_apart(tmp_path, key):
 
 def test_replay_of_an_unchanged_trace_parses_no_record(tmp_path):
     """A format 2 trace that matches run_trial's lines byte for byte is ok
-    without the record verifier: json.loads reads the header alone."""
+    without parsing a record: json.loads reads the header alone."""
     path = _write_trace(tmp_path)
-    with mock.patch.object(engine, "_verify_records", side_effect=AssertionError("verified")), \
-            mock.patch("json.loads", wraps=json.loads) as loads:
+    with mock.patch("json.loads", wraps=json.loads) as loads:
         assert replay_check(path).ok
     assert loads.call_count == 1
 
@@ -930,20 +931,86 @@ def test_replay_of_an_unchanged_trace_parses_no_record(tmp_path):
 @pytest.mark.parametrize("ulps", [1, 2, 3])
 def test_replay_of_a_trace_drawn_a_few_ulps_off_takes_the_record_verifier(tmp_path, ulps):
     """A trace written on a CPU whose log1p rounds differently differs from
-    the lines drawn here; the record verifier decides, and finds it ok."""
+    the lines drawn here in every record; each is parsed and checked, and
+    the trace is ok."""
     with _draws_off_by(ulps):
         path = _write_trace(tmp_path)
-    with mock.patch.object(engine, "_verify_records", wraps=engine._verify_records) as verify:
+    with mock.patch("json.loads", wraps=json.loads) as loads:
         assert replay_check(path).ok
-    assert verify.call_count == 1
+    assert loads.call_count == len(path.read_text().splitlines())  # the header and each record
+
+
+def _compact(line):
+    return json.dumps(json.loads(line), separators=(",", ":"))
+
+
+def _gains_last_keys_reversed(line):
+    """The record with its other keys in reverse order: the line still ends
+    with the drawn gains, so replay steps on them before it parses."""
+    rec = json.loads(line)
+    gains = rec.pop("gains")
+    return json.dumps({**dict(reversed(rec.items())), "gains": gains})
+
+
+@pytest.mark.parametrize("reserialize", [_compact, _gains_last_keys_reversed])
+def test_replay_parses_only_the_record_that_differs(tmp_path, reserialize):
+    """The same record in other bytes is parsed and checked, and the lines
+    after it are compared unparsed: one pass, with no second run."""
+    path = _write_trace(tmp_path)
+
+    def edit(lines):
+        lines[30] = reserialize(lines[30])
+
+    _edit_trace(path, edit)
+    with mock.patch("json.loads", wraps=json.loads) as loads:
+        assert replay_check(path).ok
+    assert loads.call_count == 2  # the header and that record
+
+
+@pytest.mark.parametrize("reserialize", [_compact, _gains_last_keys_reversed])
+def test_replay_diverges_at_a_tampered_battery_after_a_reserialized_record(
+    tmp_path, reserialize
+):
+    path = _write_trace(tmp_path)
+
+    def edit(lines):
+        lines[30] = reserialize(lines[30])
+        rec = json.loads(lines[40])
+        rec["battery"] = _packed([b + 1.0 for b in _floats(rec["battery"])])
+        lines[40] = json.dumps(rec)
+
+    _edit_trace(path, edit)
+    result = replay_check(path)
+    assert not result.ok
+    assert result.divergent_slot == 39
+    assert result.detail.startswith("battery: recomputed ")
+
+
+@pytest.mark.parametrize("line", [0, 5, None], ids=["header", "record", "appended"])
+def test_replay_reports_a_line_that_is_not_utf8(tmp_path, line):
+    path = _write_trace(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    bad = b'\xff\xfe{"slot": 2}\n'
+    if line is None:
+        lines.append(bad)
+    else:
+        lines[line] = bad
+    path.write_bytes(b"".join(lines))
+    result = replay_check(path)
+    assert not result.ok
+    if line == 0:
+        assert result == ReplayResult(False, None, "missing config header")
+    else:
+        assert result.divergent_slot == (line or len(lines) - 1) - 1
+        assert result.detail.startswith("malformed record (UnicodeDecodeError: ")
 
 
 def _json_lines(cfg):
     """cfg's trace record lines as json.dumps writes step's records, with
-    the batteries and gains packed: the reference for _trace_lines."""
+    the batteries and gains packed: the reference for run_trial's template."""
     n = cfg.n_relays
     trial = _Trial(cfg)
-    rows = np.concatenate([np.hstack(pair) for pair in _gain_blocks(cfg)]).tolist()
+    rows = np.concatenate(list(_gain_draws(cfg))).tolist()
     lines = []
     for slot, row in enumerate(rows):
         if slot >= cfg.n_slots and trial.pending is None:
@@ -953,6 +1020,12 @@ def _json_lines(cfg):
         rec["gains"] = _packed(row)
         lines.append(json.dumps(rec) + "\n")
     return lines
+
+
+def _trace_record_lines(cfg, path):
+    """The record lines run_trial writes for cfg, read back as bytes."""
+    run_trial(cfg, trace_path=path)
+    return [line.decode() for line in path.read_bytes().splitlines(keepends=True)[1:]]
 
 
 def _drains(cfg, recs):
@@ -977,10 +1050,10 @@ def _drains(cfg, recs):
     ],
     ids=["srs-two-outcomes", "srs-framed-drain", "mrs-rate-0", "mrs-n1-framed-drain", "srs-n1"],
 )
-def test_trace_lines_are_json_dumps_of_the_records(kw, covers):
+def test_trace_lines_are_json_dumps_of_the_records(tmp_path, kw, covers):
     cfg = SimConfig(**kw)
     expected = _json_lines(cfg)
-    assert [line for _, line in engine._trace_lines(cfg)] == expected
+    assert _trace_record_lines(cfg, tmp_path / "t.jsonl") == expected
     assert covers(cfg, [json.loads(line) for line in expected])
 
 
@@ -999,9 +1072,9 @@ def test_block_draws_equal_per_slot_draws(n):
     cfg = SimConfig(n_relays=n, n_slots=5000, seed=12)
     rng = gain_stream(cfg.seed)
     per_slot = np.array([-np.log1p(-rng.random(2 * n)) for _ in range(cfg.n_slots + 1)])
-    blocks = list(_gain_blocks(cfg))
-    assert [len(g_sl) for g_sl, _ in blocks] == [4096, 905]  # crosses a block boundary
-    drawn = np.concatenate([np.hstack(pair) for pair in blocks])
+    blocks = list(_gain_draws(cfg))
+    assert [len(block) for block in blocks] == [4096, 905]  # crosses a block boundary
+    drawn = np.concatenate(blocks)
     assert drawn.tobytes() == per_slot.tobytes()
 
 
@@ -1062,9 +1135,9 @@ def test_run_batch_counts_equal_run_trial_tallies(configs, block, draw):
 def test_trace_lines_are_json_dumps_of_random_configs(configs, draw):
     """The trace template against json.dumps, on the configs of the run_batch
     test: zero and tied gains, rate 0, warmup, both schedules, N = 1."""
-    with mock.patch.object(engine, "draw_gain", draw):
+    with mock.patch.object(engine, "draw_gain", draw), tempfile.TemporaryDirectory() as tmp:
         for cfg in configs:
-            assert [line for _, line in engine._trace_lines(cfg)] == _json_lines(cfg)
+            assert _trace_record_lines(cfg, Path(tmp) / "t.jsonl") == _json_lines(cfg)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5, 16])
