@@ -55,10 +55,10 @@ and target_rate in lockstep: batteries and decoder sets are rows of (K, N)
 arrays, and every row equals run_trial's count for that config. The
 harness picks the engine by group size: a group of up to three configs
 runs as separate _Trial runs, larger groups run in lockstep.
-Measured on a 2-core VM (20000 slots), a lockstep run of K configs costs
-6.5x, 2.9x, 2.0x, 1.9x and 1.3x the K separate _Trial runs at K = 1 to 5
-for srs at N = 5, and 3.4x, 1.9x, 1.2x, 1.06x and 0.78x for mrs at N = 10,
-M = 4.
+Measured on a 2-core VM (20000 slots, median of three best-of-5 runs), a
+lockstep run of K configs costs 4.1x, 2.2x, 1.4x, 1.05x and 0.89x the K
+separate _Trial runs at K = 1 to 5 for srs at N = 5, and 2.1x, 1.06x,
+0.74x, 0.56x and 0.45x for mrs at N = 10, M = 4.
 """
 
 from __future__ import annotations
@@ -97,6 +97,7 @@ FRAMED = "framed"
 
 LEDGER_TOL = 1e-9  # absolute per-slot energy-balance tolerance in debug mode
 GAIN_BLOCK = 4096  # slots of gains drawn per generator call
+CHUNK = 16  # slots of run_batch's costs and masks computed per numpy call
 MAX_SLOTS = 2**53  # the largest count a float holds exactly
 TRACE_FORMAT = 2  # run_trial's traces; format 1 holds floats as JSON numbers
 # how far a recorded gain may lie from replay's draw of it: numpy tests its
@@ -576,7 +577,10 @@ def run_trial(
 
 _BATCH_AXES = ("m", "target_rate")
 _OUTCOMES = tuple(Outcome)
-_SUCCESS, _NO_CANDIDATE, _DECODE_FAIL, _NO_DECODER, _NO_FEASIBLE = range(len(_OUTCOMES))
+# int8, so that codes built from them stay int8
+_SUCCESS, _NO_CANDIDATE, _DECODE_FAIL, _NO_DECODER, _NO_FEASIBLE = map(
+    np.int8, range(len(_OUTCOMES))
+)
 _any = np.logical_or.reduce  # ndarray.any without its Python-level wrapper
 
 
@@ -595,6 +599,11 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     messages: exactly run_trial(config). Per-config constants are _Trial's
     Python floats, and ties break toward the lowest relay id as in the
     policies module.
+
+    What does not read the batteries (inversion costs, decode and arrival
+    masks) is computed for CHUNK slots at a time; each slot then makes one
+    numpy call per battery-dependent step. Outcomes are kept as per-message
+    flags and turned into codes once per gain block.
     """
     if not configs:
         raise ConfigError("run_batch needs at least one config")
@@ -607,109 +616,138 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     mrs = first.policy == MRS
     pipelined = first.schedule == PIPELINED
     n_slots = first.n_slots
-    ids = np.arange(n)
     rows = [_constants(c) for c in configs]
     decode_min = np.array([[row.decode_min] for row in rows])
-    forward_min = np.array([row.forward_min for row in rows])
+    forward_min = np.array([[row.forward_min] for row in rows])
     numerator = np.array([[row.numerator] for row in rows])
-    free_rate = np.array([c.target_rate == 0 for c in configs])  # inversion costs 0
-    any_free_rate = bool(free_rate.any())
+    # what a zero gain costs, as in mrs_final_select: nothing at rate 0, else
+    # inf. numerator / 0 is inf, but 0 / 0 is nan, which would win argmax;
+    # the numerator is 0 at rate 0 and where it underflows
+    zero_gain_cost = np.array([[0.0 if c.target_rate == 0 else np.inf] for c in configs])
+    any_zero_numerator = bool(_any(numerator == 0, None))
     if mrs:
-        m = np.array([[c.m] for c in configs])
+        # the relay at rank r of a row's order listens iff r < m
+        top = np.arange(n) < np.array([[c.m] for c in configs])
+        # a message that tried and failed had decoders; one that did not, none
+        tried_fail, untried_fail = _NO_FEASIBLE, _NO_DECODER
+    else:
+        # tried: a relay was designated
+        tried_fail, untried_fail = _DECODE_FAIL, _NO_CANDIDATE
     shared = rows[0]
     fixed_cost = shared.fixed_cost
     slot_duration = first.slot_duration
 
     battery = np.full((k, n), shared.initial_energy)
-    cells = battery.reshape(-1)  # battery[row, relay] is cells[offsets[row] + relay]
+    # battery[row, relay] is battery.flat[offsets[row] + relay]
     offsets = np.arange(0, k * n, n)
+    row_cells = np.repeat(offsets, n).reshape(k, n)  # offsets[:, None], in full
+    listening = np.empty((k, n), bool)
+    listening_cells = listening.reshape(-1)
+    # where's fill values, in full: numpy broadcasts a scalar more slowly
+    plus_inf, minus_inf = np.full((k, n), np.inf), np.full((k, n), -np.inf)
     # the pending message is always the last one broadcast: message - 1
     pending = False
     decoders = np.zeros((k, n), bool)    # mrs: the pending message's decoders
     has_pending = np.zeros(k, bool)      # srs: rows with a pending message
-    holder = np.zeros(k, np.intp)        # srs: its designated decoder
-    # one gain block's outcome codes, -1 while unresolved: row i is message held + i
-    codes = np.full((min(GAIN_BLOCK, n_slots) + 1, k), -1, np.int8)
+    holder = offsets                     # srs: its designated decoder's cell
+    # one gain block's per-message flags: row i is message held + i
+    flag_rows = (min(GAIN_BLOCK, n_slots) + 1, k)
+    succeeded = np.zeros(flag_rows, bool)   # paid (mrs) or arrived (srs)
+    tried = np.zeros(flag_rows, bool)       # had a decoder (mrs) or a listener (srs)
+    unresolved = np.zeros(flag_rows, bool)  # broadcast and awaiting its forward
     counts = np.zeros((k, len(_OUTCOMES)), np.int64)
     warmup = first.warmup_messages()
     message = held = slot = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         for gains in _gain_draws(first):
-            g_sl, g_ld = gains[:, :n], gains[:, n:]
-            harvest = shared.harvest_scale * g_sl * slot_duration / shared.path_loss
+            harvest = shared.harvest_scale * gains[:, :n] * slot_duration / shared.path_loss
             harvest[harvest < first.sense_threshold] = 0.0
-            for b in range(len(g_sl)):
+            g_sl, g_ld = gains[:, None, :n], gains[:, None, n:]  # slot, row, relay
+            for b in range(len(gains)):
                 if slot >= n_slots and not pending:
                     break
+                j = b % CHUNK
+                if j == 0:
+                    chunk = slice(b, b + CHUNK)
+                    decodes = g_sl[chunk] >= decode_min
+                    if mrs:
+                        costs = numerator / g_ld[chunk]
+                        if any_zero_numerator:
+                            np.copyto(costs, zero_gain_cost, where=g_ld[chunk] == 0)
+                        costs *= slot_duration
+                    else:
+                        arrives = g_ld[chunk] >= forward_min
                 available = None
                 # 1. FORWARD
                 if pending and (pipelined or slot % 2 == 1 or slot >= n_slots):
+                    row = message - 1 - held
                     if mrs:
-                        cost = numerator / g_ld[b]
-                        if any_free_rate:
-                            cost[free_rate] = 0.0
-                        cost *= slot_duration
-                        feasible = decoders & (battery >= cost)
-                        payer = np.where(feasible, battery - cost, -np.inf).argmax(1)
-                        cell = offsets + payer
-                        pays = feasible.reshape(-1)[cell]
-                        codes[message - 1 - held] = np.where(
-                            pays,
-                            _SUCCESS,
-                            np.where(_any(decoders, 1), _NO_FEASIBLE, _NO_DECODER),
-                        )
-                        paid = np.where(pays, cost.reshape(-1)[cell], 0.0)
+                        spare = battery - costs[j]
+                        margin = np.where(decoders, spare, minus_inf)
+                        payer = offsets + margin.argmax(1)
+                        # a decoder pays iff it keeps a margin >= 0, so
+                        # no payer overdraws
+                        pays = np.greater_equal(margin.take(payer), 0.0, out=succeeded[row])
                     else:
+                        spare = battery - fixed_cost
                         payer, pays = holder, has_pending
-                        cell = offsets + holder
-                        delivered = g_ld[b][holder] >= forward_min
-                        np.copyto(
-                            codes[message - 1 - held],
-                            np.where(delivered, _SUCCESS, _DECODE_FAIL),
-                            where=has_pending,
-                        )
-                        paid = np.where(has_pending, fixed_cost, 0.0)
-                    left = cells[cell] - paid
-                    if _any(left < 0):
-                        raise InvariantError(
-                            f"slot {slot}: a forwarding relay cannot pay its transmission"
-                        )
-                    cells[cell] = left
-                    available = ids != np.where(pays, payer, -1)[:, None]
+                        np.logical_and(arrives[j].take(holder), pays, out=succeeded[row])
+                        if _any((spare.take(payer) < 0) & pays):
+                            raise InvariantError(
+                                f"slot {slot}: a forwarding relay cannot pay its transmission"
+                            )
+                    spent = np.zeros((k, n), bool)
+                    spent.reshape(-1)[payer] = pays
+                    np.putmask(battery, spent, spare)
+                    available = ~spent
+                    unresolved[row] = False
                     pending = False
                 # 2. DESIGNATE + 3. BROADCAST
                 if slot < n_slots and (pipelined or slot % 2 == 0):
-                    if available is None:
-                        available = np.ones((k, n), bool)
+                    row = message - held
                     if mrs:
                         # stable: equal batteries rank by relay id
-                        order = np.where(available, -battery, np.inf).argsort(1, kind="stable")
-                        listening = (order.argsort(1) < m) & available
-                        decoders = listening & (g_sl[b] >= decode_min)
+                        rank = -battery
+                        if available is not None:
+                            rank = np.where(available, rank, plus_inf)
+                        listening_cells[rank.argsort(1, kind="stable") + row_cells] = top
+                        if available is not None:
+                            listening &= available
+                        decoders = listening & decodes[j]
+                        _any(decoders, 1, out=tried[row])
+                        unresolved[row] = True
                         pending = True
                     else:
-                        eligible = available & (battery >= fixed_cost)
-                        holder = np.where(eligible, battery, -np.inf).argmax(1)
-                        designated = eligible.reshape(-1)[offsets + holder]
-                        listening = (ids == holder[:, None]) & designated[:, None]
-                        has_pending = designated & (g_sl[b][holder] >= decode_min[:, 0])
-                        codes[message - held] = np.where(
-                            designated, np.where(has_pending, -1, _DECODE_FAIL), _NO_CANDIDATE
-                        )
+                        score = battery
+                        if available is not None:
+                            score = np.where(available, battery, minus_inf)
+                        holder = offsets + score.argmax(1)
+                        designated = tried[row]
+                        np.greater_equal(score.take(holder), fixed_cost, out=designated)
+                        listening = np.zeros((k, n), bool)
+                        listening.reshape(-1)[holder] = designated
+                        has_pending = designated & decodes[j].take(holder)
+                        unresolved[row] = has_pending
                         pending = bool(_any(has_pending))
                     # idle relays harvest; listeners and the forwarder do not
-                    battery += np.where(available ^ listening, harvest[b], 0.0)
+                    idle = ~listening if available is None else available ^ listening
+                    # a busy relay adds harvest * False, +0.0: its battery stays
+                    battery += harvest[b] * idle
                     message += 1
                 slot += 1
             # tally the resolved messages; a pending one moves to row 0
             last = message - 1 if pending else message
-            counted = codes[max(warmup - held, 0):last - held]
-            if _any(counted < 0, None):
+            counted = slice(max(warmup - held, 0), last - held)
+            if _any(unresolved[counted], None):
                 raise InvariantError("a message was left without an outcome")
+            codes = np.full(succeeded[counted].shape, untried_fail, np.int8)
+            np.copyto(codes, tried_fail, where=tried[counted])
+            np.copyto(codes, _SUCCESS, where=succeeded[counted])
             for row in range(k):
-                counts[row] += np.bincount(counted[:, row], minlength=len(_OUTCOMES))
-            codes[0] = codes[last - held] if pending else -1
-            codes[1:] = -1
+                counts[row] += np.bincount(codes[:, row], minlength=len(_OUTCOMES))
+            for flags in (succeeded, tried, unresolved):
+                flags[0] = flags[last - held] if pending else False
+                flags[1:] = False
             held = last
     return [dict(zip(_OUTCOMES, row)) for row in counts.tolist()]
 
@@ -813,7 +851,8 @@ def replay_check(trace_path) -> ReplayResult:
     the record bit-exactly and in JSON type. numpy's log1p rounds
     differently on some CPUs, so every record of a trace written on another
     CPU is parsed, and it replays ok there too. Returns ok=True iff every
-    record matches; otherwise reports the first divergent slot.
+    record matches and the records reach the end of the run; otherwise
+    reports the first divergent slot.
     """
     with open(trace_path, "rb") as fh:
         first = fh.readline()
@@ -875,4 +914,7 @@ def replay_check(trace_path) -> ReplayResult:
             slot += 1
     if trial.pending is not None:
         return ReplayResult(False, slot, "trace ends with an unresolved message")
+    # a trace cut where no message is pending steps cleanly up to its cut
+    if slot < n_slots:
+        return ReplayResult(False, slot, f"trace ends at slot {slot} of {n_slots}")
     return ReplayResult(True)

@@ -47,8 +47,9 @@ from swiptrelay.errors import ConfigError
 _log = logging.getLogger(__name__)
 
 # the largest job that runs as separate run_trial calls: on a 2-core VM a
-# lockstep run of K = 3 points costs 2.0x (srs, N = 5) and 1.2x (mrs,
-# N = 10, M = 4) the three scalar runs; mrs lockstep breaks even near K = 4
+# lockstep run of K = 3 points costs 1.4x (srs, N = 5) and 0.74x (mrs,
+# N = 10, M = 4) the three scalar runs; srs lockstep breaks even near K = 4,
+# mrs near K = 2
 SCALAR_GROUP = 3
 
 

@@ -626,6 +626,22 @@ def test_replay_record_past_the_end_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kept,slot", [(21, 20), (1, 0)], ids=["cut", "header only"])
+def test_replay_of_a_truncated_trace_exits_1(tmp_path, capsys, kept, slot):
+    trace = tmp_path / "t.jsonl"
+    run_cli("run", "--policy", "srs", "--n", "3", "--schedule", "framed", "--messages", "50",
+            "--seed", "5", "--out", str(tmp_path / "r.csv"), "--trace", str(trace))
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 101
+    # the first kept - 1 slots, cut after a forward: no message is pending
+    trace.write_text("\n".join(lines[:kept]) + "\n")
+    capsys.readouterr()
+    assert run_cli("replay", str(trace)) == 1
+    err = capsys.readouterr().err
+    assert f"replay failed at slot {slot}: trace ends at slot {slot} of 100" in err
+    assert "Traceback" not in err
+
+
 def test_replay_of_a_line_that_is_not_utf8_exits_1(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
     run_cli("run", "--messages", "80", "--seed", "5",

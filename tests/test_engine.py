@@ -641,6 +641,19 @@ def test_replay_rejects_truncated_trace(tmp_path):
     assert "unresolved" in result.detail
 
 
+@pytest.mark.parametrize("kept,slot", [(21, 20), (1, 0)], ids=["cut", "header only"])
+def test_replay_rejects_a_trace_cut_where_no_message_is_pending(tmp_path, kept, slot):
+    path = tmp_path / "t.jsonl"
+    run_trial(srs_cfg(n_relays=3, n_slots=100, seed=5), trace_path=path)
+    lines = path.read_text().splitlines()
+    # slot 19 is a framed forward slot: nothing is pending after it
+    assert json.loads(lines[20])["slot"] == 19
+    path.write_text("\n".join(lines[:kept]) + "\n")
+    result = replay_check(path)
+    assert not result.ok
+    assert (result.divergent_slot, result.detail) == (slot, f"trace ends at slot {slot} of 100")
+
+
 def test_replay_rejects_missing_header(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"slot": 0}\n')
@@ -1119,12 +1132,15 @@ def _coarse_draw(rng, size):
 @given(
     configs=gain_field_groups(),
     block=st.sampled_from([1, 7, engine.GAIN_BLOCK]),
+    chunk=st.sampled_from([1, 7, engine.CHUNK]),
     draw=st.sampled_from([draw_gain, _coarse_draw]),
 )
-def test_run_batch_counts_equal_run_trial_tallies(configs, block, draw):
+def test_run_batch_counts_equal_run_trial_tallies(configs, block, chunk, draw):
+    # chunk and block edges fall anywhere, a framed broadcast and its
+    # forward across them included
     with mock.patch.object(engine, "GAIN_BLOCK", block), mock.patch.object(
-        engine, "draw_gain", draw
-    ):
+        engine, "CHUNK", chunk
+    ), mock.patch.object(engine, "draw_gain", draw):
         batch = run_batch(configs)
         tallies = [run_trial(cfg) for cfg in configs]
     assert batch == tallies
@@ -1157,10 +1173,14 @@ def test_run_batch_tallies_each_gain_block_like_run_trial(kw, block):
     base = SimConfig(n_relays=4, eta=0.1, initial_energy=20.0, seed=23, **kw)
     ms = [1, 2, 4] if base.policy == "mrs" else [None]
     configs = [replace(base, m=m, target_rate=rate) for m in ms for rate in (0.3, 1.0, 2.0)]
-    with mock.patch.object(engine, "GAIN_BLOCK", block):
-        batch = run_batch(configs)
-    assert batch == [run_trial(cfg) for cfg in configs]
-    assert all(sum(counts.values()) == base.message_count() for counts in batch)
+    tallies = [run_trial(cfg) for cfg in configs]
+    assert all(sum(counts.values()) == base.message_count() for counts in tallies)
+    # the costs and masks of CHUNK slots, split within each block
+    for chunk in (1, 7, engine.CHUNK):
+        with mock.patch.object(engine, "GAIN_BLOCK", block), mock.patch.object(
+            engine, "CHUNK", chunk
+        ):
+            assert run_batch(configs) == tallies
 
 
 def _run_batch_peak_bytes(n_slots):
@@ -1180,6 +1200,23 @@ def test_run_batch_memory_does_not_grow_with_the_message_count():
         short, long = _run_batch_peak_bytes(500), _run_batch_peak_bytes(4000)
     # one int8 code per message and config would add 350 kB to the long run
     assert long - short < 50_000
+
+
+def test_run_batch_memory_on_the_compare_grid():
+    """compare's mrs grid, M = 1..10 x 5 rates at N = 10 over 2000 slots,
+    peaks near 1.1 MiB: its per-message flags and codes are bool and int8.
+    int64 codes, which np.where makes of Python-int codes, add 0.8 MiB."""
+    base = SimConfig(n_relays=10, policy="mrs", m=1, eta=0.05, n_slots=2000, seed=7)
+    configs = [replace(base, m=m, target_rate=rate)
+               for m in range(1, 11) for rate in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    run_batch(configs)  # numpy's one-time allocations are not the run's
+    tracemalloc.start()
+    try:
+        run_batch(configs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_run_batch_refuses_configs_outside_one_gain_field():
