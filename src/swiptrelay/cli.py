@@ -231,13 +231,17 @@ def _manifest(command: str, params: dict, outputs: list[str]) -> dict:
     }
 
 
-def emit_results(rows: list[dict], fmt: str, destination: Path, manifest: dict,
-                 extra: dict | None = None) -> None:
+def _write_table(command: str, params: dict, rows: list[dict],
+                 extra: dict | None = None, other_outputs: tuple[str, ...] = ()) -> Path:
     """Write the result table plus its sidecar manifest."""
     if not rows:
-        raise InvariantError("emit_results called with an empty table")
-    if fmt == "csv":
-        with open(destination, "w", newline="") as fh:
+        raise InvariantError(f"{command} produced an empty table")
+    out = _output_path(params["out"] or f"{command}.{params['format']}")
+    if not out.parent.exists():
+        out.parent.mkdir(parents=True, exist_ok=True)
+    manifest = _manifest(command, params, [str(out), *other_outputs])
+    if params["format"] == "csv":
+        with open(out, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for row in rows:
@@ -246,22 +250,13 @@ def emit_results(rows: list[dict], fmt: str, destination: Path, manifest: dict,
         payload = {"manifest": manifest, "results": rows}
         if extra:
             payload.update(extra)
-        with open(destination, "w", newline="\n") as fh:
+        with open(out, "w", newline="\n") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-    sidecar = destination.with_name(destination.name + ".manifest.json")
+    sidecar = out.with_name(out.name + ".manifest.json")
     with open(sidecar, "w", newline="\n") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-
-
-def _write_table(command: str, params: dict, rows: list[dict],
-                 extra: dict | None = None, other_outputs: tuple[str, ...] = ()) -> Path:
-    out = _output_path(params["out"] or f"{command}.{params['format']}")
-    if not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    emit_results(rows, params["format"], out,
-                 _manifest(command, params, [str(out), *other_outputs]), extra)
     return out
 
 

@@ -42,9 +42,9 @@ seed's draw for its slot is stepped on that draw, and it is ok unparsed
 if it equals the line the template renders. Any other line, and every
 format 1 record, is parsed: its gains must lie within GAIN_ULPS of the
 seed's draw, the rounding by which numpy's log1p may differ between CPUs,
-and the step on them must match the record in value and JSON type. So a
-trace written on a CPU that rounds differently replays ok, at the cost of
-parsing every record.
+and the step on them must match the record bit for bit and in JSON type.
+So a trace written on a CPU that rounds differently replays ok, at the
+cost of parsing every record.
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
@@ -55,10 +55,6 @@ and target_rate in lockstep: batteries and decoder sets are rows of (K, N)
 arrays, and every row equals run_trial's count for that config. The
 harness picks the engine by group size: a group of up to three configs
 runs as separate _Trial runs, larger groups run in lockstep.
-Measured on a 2-core VM (20000 slots, median of three best-of-5 runs), a
-lockstep run of K configs costs 4.1x, 2.2x, 1.4x, 1.05x and 0.89x the K
-separate _Trial runs at K = 1 to 5 for srs at N = 5, and 2.1x, 1.06x,
-0.74x, 0.56x and 0.45x for mrs at N = 10, M = 4.
 """
 
 from __future__ import annotations
@@ -384,33 +380,10 @@ class _Trial:
         self.pending: tuple[int, tuple[int, ...]] | None = None
         self.next_message = 0
 
-    def step(
-        self,
-        slot: int,
-        g_sl: Sequence[float],
-        g_ld: Sequence[float],
-        want_record: bool = False,
-        check: bool = False,
-    ) -> tuple[list[tuple[int, Outcome]], dict | None]:
-        """Run one slot; returns resolved (message, outcome) pairs and,
-        when requested, a trace record."""
-        resolved, forwarder, tx_power, designated, decoded = self._advance(slot, g_sl, g_ld, check)
-        record = None
-        if want_record:
-            record = {
-                "slot": slot,
-                "forwarder": forwarder,
-                "tx_power": tx_power,
-                "designated": designated,
-                "decoded": decoded,
-                "outcomes": [[msg, res.value] for msg, res in resolved],
-                "battery": list(self.battery),
-            }
-        return resolved, record
-
-    def _advance(self, slot, g_sl, g_ld, check):
+    def step(self, slot, g_sl, g_ld, check=False):
         """Run one slot; returns the resolved (message, outcome) pairs, the
-        forwarder, its transmit power, and the designated and decoded ids."""
+        forwarder, its transmit power, and the designated and decoded ids.
+        With check set, the slot's energy ledger and invariants are checked."""
         cfg, k, battery = self.cfg, self.const, self.battery
         mrs = cfg.policy == MRS
         # the slot after the last one is the forward-only drain slot
@@ -508,14 +481,14 @@ _b64 = functools.partial(binascii.b2a_base64, newline=False)
 
 
 def _trace_line(slot: int, fields: tuple, battery: str, gains: str) -> str:
-    """The format 2 trace line of a slot that _Trial._advance stepped and
+    """The format 2 trace line of a slot that _Trial.step stepped and
     returned fields for, with battery and gains packed as base64 of
     little-endian float64s.
 
-    The bytes are those of json.dumps(record) + "\n" for step's record with
-    the batteries and gains packed: ids are Python ints and lists of them,
-    whose repr is their JSON, and tx_power is always finite, so its repr is
-    too.
+    The bytes are those of json.dumps(record) + "\n" for the slot's record
+    with the batteries and gains packed: ids are Python ints and lists of
+    them, whose repr is their JSON, and tx_power is always finite, so its
+    repr is too.
     """
     resolved, forwarder, tx_power, designated, decoded = fields
     outcomes = ", ".join([f"[{msg}{_OUTCOME_TAILS[res]}" for msg, res in resolved])
@@ -565,7 +538,7 @@ def run_trial(
             if slot >= n_slots and trial.pending is None:
                 break
             values = row.tolist()
-            fields = trial._advance(slot, values[:n], values[n:], check_invariants)
+            fields = trial.step(slot, values[:n], values[n:], check_invariants)
             for msg, result in fields[0]:
                 if msg >= warmup:
                     tally[result] += 1
@@ -783,15 +756,6 @@ def _recorded_gains(rec: dict, n: int, trace_format: int) -> list:
     return gains
 
 
-def _json_equal(a, b) -> bool:
-    """a == b with JSON's types kept apart: true is not 1, and 1 is not 1.0."""
-    if type(a) is not type(b):
-        return False
-    if type(a) is list:
-        return len(a) == len(b) and all(map(_json_equal, a, b))
-    return a == b
-
-
 def _malformed(slot: int, exc: Exception) -> ReplayResult:
     return ReplayResult(False, slot, f"malformed record ({type(exc).__name__}: {exc})")
 
@@ -893,7 +857,7 @@ def replay_check(trace_path) -> ReplayResult:
                 if isinstance(checked, ReplayResult):
                     return checked
                 rec, recorded = checked
-            fields = trial._advance(slot, recorded[:n], recorded[n:], False)
+            fields = trial.step(slot, recorded[:n], recorded[n:])
             battery = _b64(pack_battery(*trial.battery)).decode() if packed else list(trial.battery)
             if rec is None:
                 if line == _trace_line(slot, fields, battery, gains.decode()).encode():
@@ -906,8 +870,9 @@ def replay_check(trace_path) -> ReplayResult:
             resolved, forwarder, tx_power, designated, decoded = fields
             outcomes = [[msg, res.value] for msg, res in resolved]
             computed = (forwarder, tx_power, designated, decoded, outcomes, battery)
+            # repr keeps apart what == equates: true, 1 and 1.0, and -0.0 and 0.0
             for key, value in zip(_REPLAY_FIELDS, computed):
-                if not _json_equal(value, rec.get(key)):
+                if repr(value) != repr(rec.get(key)):
                     return ReplayResult(
                         False, slot, f"{key}: recomputed {value!r} != recorded {rec.get(key)!r}"
                     )

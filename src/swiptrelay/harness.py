@@ -132,6 +132,9 @@ def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
     etas = list(spec.etas) if spec.etas is not None else [base.eta]
     ns = list(spec.n_relays) if spec.n_relays is not None else [base.n_relays]
     ms = list(spec.ms) if spec.ms is not None else [base.m]
+    for name, axis in (("rates", rates), ("etas", etas), ("n_relays", ns), ("ms", ms)):
+        if not axis:
+            raise ConfigError(f"{name} must be non-empty")
     n_slots = slots_for_messages(spec.messages, base.warmup_slots, base.schedule)
     configs = []
     for i_n, n in enumerate(ns):

@@ -1,5 +1,7 @@
-"""Textbook link formulas that the engines never evaluate, kept as test
-oracles: the engines compare gains with thresholds instead of taking logs.
+"""References the engines never evaluate, kept as test oracles: textbook
+link formulas (the engines compare gains with thresholds instead of taking
+logs) and a slot's trace record as a dict, which json.dumps turns into the
+bytes run_trial's line template must write.
 """
 
 import math
@@ -32,3 +34,25 @@ def inversion_power(
     if gain_sq == 0:
         return math.inf
     return inversion_numerator(target_rate, noise_var, distance) / gain_sq
+
+
+def record(slot: int, fields: tuple, battery) -> dict:
+    """The trace record of a slot that _Trial.step stepped and returned
+    fields for, with the batteries after it unpacked."""
+    resolved, forwarder, tx_power, designated, decoded = fields
+    return {
+        "slot": slot,
+        "forwarder": forwarder,
+        "tx_power": tx_power,
+        "designated": designated,
+        "decoded": decoded,
+        "outcomes": [[msg, res.value] for msg, res in resolved],
+        "battery": list(battery),
+    }
+
+
+def step(trial, slot: int, g_sl, g_ld, check: bool = False) -> tuple[list, dict]:
+    """Step trial one slot; returns its resolved (message, Outcome) pairs and
+    its record."""
+    fields = trial.step(slot, g_sl, g_ld, check)
+    return fields[0], record(slot, fields, trial.battery)

@@ -1,10 +1,11 @@
 """Slot semantics, message accounting, determinism, and trace replay.
 
-Micro-scenarios drive _Trial.step directly with hand-picked gains. At the
-default operating point (R = 1, P = 10 W, sigma2 = 1, d = 1) the decode and
-forward gain thresholds are both 0.3, the srs transmission costs 10 J, the
-default battery starts at 100 J, and an idle relay harvests 5 * gain joules
-per broadcast.
+Micro-scenarios drive _Trial.step directly with hand-picked gains and read
+each slot's trace record from oracles.record. At the default operating
+point (R = 1, P = 10 W, sigma2 = 1, d = 1) the decode and forward gain
+thresholds are both 0.3, the srs transmission costs 10 J, the default
+battery starts at 100 J, and an idle relay harvests 5 * gain joules per
+broadcast.
 """
 
 import base64
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import step
 from swiptrelay import engine
 from swiptrelay.channel import draw_gain, gain_stream
 from swiptrelay.engine import (
@@ -236,13 +238,13 @@ def test_config_round_trips_through_dict():
 
 def test_srs_designates_then_forwards_and_debits():
     trial = _Trial(srs_cfg())
-    resolved, rec = trial.step(0, [0.5, 0.2], [HI, HI], want_record=True)
+    resolved, rec = step(trial, 0, [0.5, 0.2], [HI, HI])
     assert resolved == []
     assert rec["designated"] == [0]      # battery tie breaks to id 0
     assert rec["decoded"] == [0]         # 0.5 >= 0.3
     assert rec["battery"] == [100.0, 101.0]  # listener no harvest; idle +5*0.2
 
-    resolved, rec = trial.step(1, [LO, LO], [0.5, HI], want_record=True)
+    resolved, rec = step(trial, 1, [LO, LO], [0.5, HI])
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["forwarder"] == 0
     assert rec["tx_power"] == 10.0
@@ -251,7 +253,7 @@ def test_srs_designates_then_forwards_and_debits():
 
 def test_srs_relay_decode_failure_spends_nothing():
     trial = _Trial(srs_cfg())
-    resolved, rec = trial.step(0, [LO, 0.2], [HI, HI], want_record=True)
+    resolved, rec = step(trial, 0, [LO, 0.2], [HI, HI])
     # outage resolves immediately, "without making a transmission"
     assert resolved == [(0, Outcome.DECODE_FAIL)]
     assert rec["battery"] == [100.0, 101.0]
@@ -261,14 +263,14 @@ def test_srs_relay_decode_failure_spends_nothing():
 def test_srs_destination_failure_still_spends_energy():
     trial = _Trial(srs_cfg())
     trial.step(0, [0.5, 0.2], [HI, HI])
-    resolved, rec = trial.step(1, [LO, LO], [0.29, HI], want_record=True)
+    resolved, rec = step(trial, 1, [LO, LO], [0.29, HI])
     assert resolved == [(0, Outcome.DECODE_FAIL)]
     assert rec["battery"] == [90.0, 101.0]  # relay lacked CSI, energy is gone
 
 
 def test_srs_no_candidate_when_nobody_can_pay():
     trial = _Trial(srs_cfg(initial_energy=9.9))
-    resolved, rec = trial.step(0, [0.4, 0.2], [HI, HI], want_record=True)
+    resolved, rec = step(trial, 0, [0.4, 0.2], [HI, HI])
     assert resolved == [(0, Outcome.NO_CANDIDATE)]
     assert rec["designated"] == []
     # with no listener, every relay harvests
@@ -278,7 +280,7 @@ def test_srs_no_candidate_when_nobody_can_pay():
 def test_srs_exact_battery_is_enough():
     trial = _Trial(srs_cfg(initial_energy=10.0, eta=0.0))
     trial.step(0, [0.5, 0.2], [HI, HI])
-    resolved, rec = trial.step(1, [LO, LO], [HI, HI], want_record=True)
+    resolved, rec = step(trial, 1, [LO, LO], [HI, HI])
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["battery"] == [0.0, 10.0]
 
@@ -286,7 +288,7 @@ def test_srs_exact_battery_is_enough():
 def test_pipelined_forwarder_misses_the_next_broadcast():
     trial = _Trial(srs_cfg(schedule="pipelined"))
     trial.step(0, [0.5, 0.2], [HI, HI])
-    resolved, rec = trial.step(1, [0.5, 0.4], [HI, HI], want_record=True)
+    resolved, rec = step(trial, 1, [0.5, 0.4], [HI, HI])
     # relay 0 forwards message 0 and is excluded from designation
     assert (0, Outcome.SUCCESS) in resolved
     assert rec["forwarder"] == 0
@@ -298,13 +300,13 @@ def test_pipelined_forwarder_misses_the_next_broadcast():
 
 def test_mrs_preselects_listeners_and_inverts_power():
     trial = _Trial(mrs_cfg())
-    resolved, rec = trial.step(0, [0.5, LO, 0.4], [HI, HI, HI], want_record=True)
+    resolved, rec = step(trial, 0, [0.5, LO, 0.4], [HI, HI, HI])
     assert resolved == []
     assert rec["designated"] == [0, 1]   # ties break low; relay 2 harvests
     assert rec["decoded"] == [0]
     assert rec["battery"] == [100.0, 100.0, 102.0]
 
-    resolved, rec = trial.step(1, [LO, LO, LO], [1.0, HI, HI], want_record=True)
+    resolved, rec = step(trial, 1, [LO, LO, LO], [1.0, HI, HI])
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["forwarder"] == 0
     assert rec["tx_power"] == pytest.approx(3.0)   # (2^2-1)/1.0
@@ -315,7 +317,7 @@ def test_mrs_picks_decoder_with_best_post_tx_margin():
     trial = _Trial(mrs_cfg())
     trial.step(0, [0.5, 0.5, LO], [HI, HI, HI])
     # costs: relay 0 pays 3/0.3 = 10, relay 1 pays 3/3.0 = 1
-    resolved, rec = trial.step(1, [LO, LO, LO], [0.3, 3.0, HI], want_record=True)
+    resolved, rec = step(trial, 1, [LO, LO, LO], [0.3, 3.0, HI])
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["forwarder"] == 1
     assert rec["battery"] == [100.0, 99.0, pytest.approx(100.05)]
@@ -324,7 +326,7 @@ def test_mrs_picks_decoder_with_best_post_tx_margin():
 def test_mrs_empty_decode_set_is_an_outage():
     trial = _Trial(mrs_cfg())
     trial.step(0, [LO, LO, 0.4], [HI, HI, HI])
-    resolved, rec = trial.step(1, [LO, LO, LO], [HI, HI, HI], want_record=True)
+    resolved, rec = step(trial, 1, [LO, LO, LO], [HI, HI, HI])
     assert resolved == [(0, Outcome.NO_DECODER)]
     assert rec["forwarder"] is None
     assert rec["battery"] == [100.0, 100.0, 102.0]
@@ -334,7 +336,7 @@ def test_mrs_unaffordable_inversion_is_an_outage_without_spending():
     trial = _Trial(mrs_cfg(initial_energy=1.0))
     trial.step(0, [0.5, 0.5, LO], [HI, HI, HI])
     # both decoders need 3/0.1 = 30 J against 1 J batteries
-    resolved, rec = trial.step(1, [LO, LO, LO], [0.1, 0.1, HI], want_record=True)
+    resolved, rec = step(trial, 1, [LO, LO, LO], [0.1, 0.1, HI])
     assert resolved == [(0, Outcome.NO_FEASIBLE_POWER)]
     assert rec["battery"][0] == 1.0 and rec["battery"][1] == 1.0
 
@@ -342,13 +344,28 @@ def test_mrs_unaffordable_inversion_is_an_outage_without_spending():
 def test_mrs_zero_destination_gain_is_infeasible_not_fatal():
     trial = _Trial(mrs_cfg(m=1))
     trial.step(0, [0.5, LO, LO], [HI, HI, HI])
-    resolved, _ = trial.step(1, [LO, LO, LO], [0.0, HI, HI])
+    resolved = trial.step(1, [LO, LO, LO], [0.0, HI, HI])[0]
     assert resolved == [(0, Outcome.NO_FEASIBLE_POWER)]
+
+
+@pytest.mark.parametrize("rate,outcome,forwarder,power", [
+    (0.0, Outcome.SUCCESS, 0, 0.0),
+    (1e-320, Outcome.NO_FEASIBLE_POWER, None, None),
+])
+def test_mrs_zero_gain_at_an_underflowing_rate(rate, outcome, forwarder, power):
+    """At rate 1e-320 the inversion numerator underflows to 0, as at rate
+    0, yet a zero gain still needs infinite power: only rate 0 forwards a
+    lone decoder's message over it, for free."""
+    trial = _Trial(mrs_cfg(m=1, target_rate=rate, initial_energy=0.0))
+    trial.step(0, [0.5, LO, LO], [HI, HI, HI])
+    resolved, rec = step(trial, 1, [LO, LO, LO], [0.0, HI, HI])
+    assert resolved == [(0, outcome)]
+    assert (rec["forwarder"], rec["tx_power"]) == (forwarder, power)
 
 
 def test_mrs_gamma_members_do_not_harvest():
     trial = _Trial(mrs_cfg(m=3))
-    _, rec = trial.step(0, [HI, HI, HI], [HI, HI, HI], want_record=True)
+    _, rec = step(trial, 0, [HI, HI, HI], [HI, HI, HI])
     # every relay listens, so nobody harvests despite huge gains
     assert rec["battery"] == [100.0, 100.0, 100.0]
 
@@ -722,7 +739,7 @@ def test_trace_records_pack_batteries_and_gains(tmp_path):
         rec = json.loads(line)
         assert "g_sl" not in rec and "g_ld" not in rec
         assert _floats(rec["gains"]) == row.tolist()
-        _, stepped = trial.step(rec["slot"], row[:3].tolist(), row[3:].tolist(), want_record=True)
+        _, stepped = step(trial, rec["slot"], row[:3].tolist(), row[3:].tolist())
         assert _floats(rec["battery"]) == stepped["battery"]
 
 
@@ -898,10 +915,11 @@ def test_replay_memory_does_not_grow_with_the_trace_length(tmp_path):
     assert long - short < 50_000
 
 
-# values that == calls equal to the recorded ones: True == 1 == 1.0
+# values that == calls equal to the recorded ones: True == 1 == 1.0, -0.0 == 0.0
 _RETYPED = {
     "slot": (lambda rec: rec["slot"] == 1, lambda slot: True),
     "forwarder": (lambda rec: rec["forwarder"] is not None, float),
+    "tx_power": (lambda rec: rec["tx_power"] == 0.0, lambda power: -0.0),
     "designated": (lambda rec: rec["designated"], lambda ids: [float(i) for i in ids]),
     "outcomes": (lambda rec: rec["outcomes"], lambda pairs: [[float(m), o] for m, o in pairs]),
 }
@@ -909,9 +927,10 @@ _RETYPED = {
 
 @pytest.mark.parametrize("key", list(_RETYPED))
 def test_replay_tells_json_types_apart(tmp_path, key):
-    """A record matches only in value and JSON type: true is not 1, and 1
-    is not 1.0."""
-    path = _write_trace(tmp_path)
+    """A record matches only in value, sign and JSON type: true is not 1,
+    1 is not 1.0, and -0.0 is not 0.0."""
+    # only rate 0 forwards at power 0.0
+    path = _write_trace(tmp_path, target_rate=0.0 if key == "tx_power" else 1.0)
     applies, retype = _RETYPED[key]
     found = []
 
@@ -1019,8 +1038,9 @@ def test_replay_reports_a_line_that_is_not_utf8(tmp_path, line):
 
 
 def _json_lines(cfg):
-    """cfg's trace record lines as json.dumps writes step's records, with
-    the batteries and gains packed: the reference for run_trial's template."""
+    """cfg's trace record lines as json.dumps writes the oracle's records,
+    with the batteries and gains packed: the reference for run_trial's
+    template."""
     n = cfg.n_relays
     trial = _Trial(cfg)
     rows = np.concatenate(list(_gain_draws(cfg))).tolist()
@@ -1028,7 +1048,7 @@ def _json_lines(cfg):
     for slot, row in enumerate(rows):
         if slot >= cfg.n_slots and trial.pending is None:
             break
-        _, rec = trial.step(slot, row[:n], row[n:], want_record=True)
+        _, rec = step(trial, slot, row[:n], row[n:])
         rec["battery"] = _packed(rec["battery"])
         rec["gains"] = _packed(row)
         lines.append(json.dumps(rec) + "\n")
@@ -1181,6 +1201,19 @@ def test_run_batch_tallies_each_gain_block_like_run_trial(kw, block):
             engine, "CHUNK", chunk
         ):
             assert run_batch(configs) == tallies
+
+
+def test_run_batch_zero_gains_at_an_underflowing_rate():
+    """Both engines agree where the numerator underflows to 0: rate 0
+    forwards every message, rate 1e-320 refuses decoders with a zero gain."""
+    base = SimConfig(n_relays=3, policy="mrs", m=2, initial_energy=0.0, n_slots=400, seed=3)
+    configs = [replace(base, target_rate=rate) for rate in (0.0, 1e-320)]
+    with mock.patch.object(engine, "draw_gain", _coarse_draw):
+        tallies = [run_trial(cfg) for cfg in configs]
+        assert run_batch(configs) == tallies
+    assert tallies[0][Outcome.SUCCESS] == 400
+    assert tallies[1][Outcome.NO_FEASIBLE_POWER] > 0
+    assert tallies[1][Outcome.SUCCESS] + tallies[1][Outcome.NO_FEASIBLE_POWER] == 400
 
 
 def _run_batch_peak_bytes(n_slots):

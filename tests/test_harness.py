@@ -179,6 +179,17 @@ def test_sweep_validates_harness_knobs():
         sweep(_spec(workers=0))
 
 
+@pytest.mark.parametrize("axis", ["rates", "etas", "n_relays", "ms"])
+def test_sweep_refuses_an_empty_axis(axis):
+    base = SimConfig(n_relays=3, policy="mrs", m=1)
+    with pytest.raises(ConfigError, match=f"^{axis} must be non-empty$"):
+        sweep(SweepSpec(base=base, messages=100, **{axis: []}))
+    # compare's srs curve is a sweep over its rates
+    if axis == "rates":
+        with pytest.raises(ConfigError, match="^rates must be non-empty$"):
+            compare_policies(base, rates=[], messages=100)
+
+
 def test_optimize_m_is_consistent_with_its_own_table():
     base = SimConfig(n_relays=6, policy="mrs", m=1, eta=0.1, seed=8)
     star = optimize_m(base, messages=2000)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import inversion_power
+from swiptrelay.channel import inversion_numerator
 from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 
@@ -119,6 +120,14 @@ def test_final_select_skips_unaffordable_and_zero_gain():
     battery = [5.0, 30.0]
     gains = [0.3, 0.0]  # 0 cannot pay 10; 1 needs infinite power
     assert mrs_final_select([0, 1], battery, gains, 1.0, 1.0, 1.0) is None
+
+
+def test_final_select_zero_gain_at_an_underflowing_rate():
+    # the numerator underflows to 0, but the rate is not 0: a zero gain
+    # still needs infinite power
+    assert inversion_numerator(1e-320, 1.0, 1.0) == 0.0
+    assert mrs_final_select([0], [0.0], [0.0], 1e-320, 1.0, 1.0) is None
+    assert mrs_final_select([0], [0.0], [0.0], 0.0, 1.0, 1.0) == (0, 0.0, 0.0)
 
 
 def test_final_select_empty_decoders():

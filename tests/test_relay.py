@@ -11,6 +11,7 @@ nothing; listeners neither pay nor harvest. At the default operating point
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import step
 from swiptrelay.engine import Outcome, SimConfig, _Trial
 from swiptrelay.errors import ConfigError
 
@@ -26,7 +27,7 @@ def _idle(**kw):
 
 
 def _battery_after(trial, g_sl):
-    resolved, rec = trial.step(0, g_sl, [HI] * len(g_sl), want_record=True, check=True)
+    resolved, rec = step(trial, 0, g_sl, [HI] * len(g_sl), check=True)
     assert resolved == [(0, Outcome.NO_CANDIDATE)]
     return rec["battery"]
 
@@ -63,7 +64,7 @@ def test_harvest_params_validation():
 def test_credit_accumulates():
     trial = _idle()
     for slot, gain in enumerate((0.5, 0.0, 0.2)):
-        _, rec = trial.step(slot, [gain, 0.0], [HI, HI], want_record=True, check=True)
+        _, rec = step(trial, slot, [gain, 0.0], [HI, HI], check=True)
     assert rec["battery"] == [pytest.approx(5.0 * 0.7), 0.0]
 
 
@@ -71,7 +72,7 @@ def test_credit_rejects_transmitting_relay():
     """The pipelined forwarder misses the broadcast and harvests nothing."""
     trial = _Trial(SimConfig(n_relays=3, schedule="pipelined").validate())
     trial.step(0, [0.5, 0.4, 0.2], [HI] * 3, check=True)   # relay 0 listens
-    resolved, rec = trial.step(1, [HI] * 3, [HI] * 3, want_record=True, check=True)
+    resolved, rec = step(trial, 1, [HI] * 3, [HI] * 3, check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert (rec["forwarder"], rec["designated"]) == (0, [1])
     # forwarder: 100 - 10, no harvest; listener 1: as after slot 0; idle 2 gains 5 * HI
@@ -95,7 +96,7 @@ def test_debit_spends_when_affordable():
     trial = _Trial(SimConfig(n_relays=2, policy="mrs", m=1, eta=0.0, slot_duration=0.5,
                              schedule="framed").validate())
     trial.step(0, [0.5, LO], [HI, HI])
-    resolved, rec = trial.step(1, [LO, LO], [0.5, HI], want_record=True, check=True)
+    resolved, rec = step(trial, 1, [LO, LO], [0.5, HI], check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["tx_power"] == 6.0
     assert rec["battery"] == [50.0 - 3.0, 50.0]
@@ -105,7 +106,7 @@ def test_debit_allows_exact_sufficiency():
     trial = _Trial(SimConfig(n_relays=2, policy="mrs", m=1, eta=0.0, initial_energy=6.0,
                              schedule="framed").validate())
     trial.step(0, [0.5, LO], [HI, HI])
-    resolved, rec = trial.step(1, [LO, LO], [0.5, HI], want_record=True, check=True)
+    resolved, rec = step(trial, 1, [LO, LO], [0.5, HI], check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["battery"] == [0.0, 6.0]
 
@@ -115,7 +116,7 @@ def test_debit_refuses_and_leaves_battery_untouched():
                              schedule="framed").validate())
     trial.step(0, [0.5, LO], [HI, HI])
     # cost 3 / 0.4999999 is a hair above the 6 J battery
-    resolved, rec = trial.step(1, [LO, LO], [0.4999999, HI], want_record=True, check=True)
+    resolved, rec = step(trial, 1, [LO, LO], [0.4999999, HI], check=True)
     assert resolved == [(0, Outcome.NO_FEASIBLE_POWER)]
     assert rec["forwarder"] is None
     assert rec["battery"] == [6.0, 6.0]
@@ -126,7 +127,7 @@ def test_debit_rejects_negative_cost():
     trial = _Trial(SimConfig(n_relays=2, policy="mrs", m=1, eta=0.0, target_rate=0.0,
                              initial_energy=0.0, schedule="framed").validate())
     trial.step(0, [LO, LO], [HI, HI])
-    resolved, rec = trial.step(1, [LO, LO], [LO, HI], want_record=True, check=True)
+    resolved, rec = step(trial, 1, [LO, LO], [LO, HI], check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert (rec["forwarder"], rec["tx_power"], rec["battery"]) == (0, 0.0, [0.0, 0.0])
 
@@ -147,5 +148,5 @@ def test_battery_never_goes_negative(policy, initial_energy, eta, rate, gains):
                     n_slots=len(gains)).validate()
     trial = _Trial(cfg)
     for slot, row in enumerate(gains + [[0.0] * 6]):
-        _, rec = trial.step(slot, row[:3], row[3:], want_record=True, check=True)
+        _, rec = step(trial, slot, row[:3], row[3:], check=True)
         assert min(rec["battery"]) >= 0.0
