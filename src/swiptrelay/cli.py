@@ -28,6 +28,7 @@ from swiptrelay.engine import (
     MRS,
     PIPELINED,
     SRS,
+    Outcome,
     SimConfig,
     replay_check,
     slots_for_messages,
@@ -278,18 +279,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args, "sweep")
     base = _config_from_params(params)
-    spec = SweepSpec(
-        base=base,
-        rates=params["rates"],
-        etas=params["etas"],
-        n_relays=params["ns"],
-        ms=params["ms"],
-        messages=params["messages"],
-        z=params["z"],
-        crn=params["crn"],
+    results = sweep(SweepSpec(
+        base=base, rates=params["rates"], etas=params["etas"], n_relays=params["ns"],
+        ms=params["ms"], messages=params["messages"], z=params["z"], crn=params["crn"],
         workers=params["workers"],
-    )
-    results = sweep(spec)
+    ))
     rows = [_row(r.config, r.estimate) for r in results]
     out = _write_table("sweep", params, rows)
     print(f"wrote {out} ({len(rows)} rows)")
@@ -299,13 +293,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_opt_m(args) -> int:
     params = _resolve_params(args, "opt-m")
     base = _config_from_params(params)
-    star = optimize_m(
-        base,
-        m_values=params["ms"],
-        messages=params["messages"],
-        z=params["z"],
-        workers=params["workers"],
-    )
+    star = optimize_m(base, m_values=params["ms"], messages=params["messages"],
+                      z=params["z"], workers=params["workers"])
     rows = [_row(r.config, r.estimate) for r in star.results]
     out = _write_table("opt-m", params, rows, extra={"m_star": star.m_star})
     for r in star.results:
@@ -321,14 +310,9 @@ def _cmd_opt_m(args) -> int:
 def _cmd_compare(args) -> int:
     params = _resolve_params(args, "compare")
     base = _config_from_params(params)
-    report = compare_policies(
-        base,
-        rates=params["rates"],
-        n_points=params["n_points"],
-        messages=params["messages"],
-        z=params["z"],
-        workers=params["workers"],
-    )
+    report = compare_policies(base, rates=params["rates"], n_points=params["n_points"],
+                              messages=params["messages"], z=params["z"],
+                              workers=params["workers"])
     results = report.srs + report.mrs_single + report.mrs_star
     rows = [_row(r.config, r.estimate) for r in results]
     extra = {
@@ -341,11 +325,8 @@ def _cmd_compare(args) -> int:
     print(f"m_star={report.m_star}")
     print("rate      srs         mrs(1)      mrs(m*)     ordering")
     for i, rate in enumerate(report.rates):
-        marks = (
-            ("ok" if report.mrs_single_not_worse[i] else "VIOLATED")
-            + "/"
-            + ("ok" if report.mrs_star_not_worse[i] else "VIOLATED")
-        )
+        marks = "/".join("ok" if ok else "VIOLATED" for ok in
+                         (report.mrs_single_not_worse[i], report.mrs_star_not_worse[i]))
         print(
             f"{rate:<8.3f}  {report.srs[i].estimate.p_hat:<10.6f}  "
             f"{report.mrs_single[i].estimate.p_hat:<10.6f}  "
@@ -359,7 +340,9 @@ def _cmd_compare(args) -> int:
 def _cmd_replay(args) -> int:
     result = replay_check(args.trace)
     if result.ok:
-        print(f"replay ok: {args.trace}")
+        messages = sum(result.tally.values())
+        outages = messages - result.tally[Outcome.SUCCESS]
+        print(f"replay ok: {args.trace} ({outages}/{messages} outages)")
         return 0
     where = "" if result.divergent_slot is None else f" at slot {result.divergent_slot}"
     print(f"replay failed{where}: {result.detail}", file=sys.stderr)
@@ -419,10 +402,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"swiptrelay: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"swiptrelay: error: {exc}", file=sys.stderr)
         return 1
     except (InvariantError, AssertionError) as exc:

@@ -36,25 +36,22 @@ Format 2 traces (header "format": 2) pack the batteries and the gains as
 base64 of little-endian float64s, exact and cheap to write and read;
 format 1 traces, whose header has no "format", hold them as JSON numbers.
 run_trial writes each record line from one template (_trace_line), whose
-bytes are those of json.dumps of the record. replay_check reads a trace
-once and steps each record once. A format 2 line that ends with the
-seed's draw for its slot is stepped on that draw, and it is ok unparsed
-if it equals the line the template renders. Any other line, and every
-format 1 record, is parsed: its gains must lie within GAIN_ULPS of the
-seed's draw, the rounding by which numpy's log1p may differ between CPUs,
-and the step on them must match the record bit for bit and in JSON type.
-So a trace written on a CPU that rounds differently replays ok, at the
-cost of parsing every record.
+bytes are those of json.dumps of the record; replay_check steps each
+record once more and checks it against that template, or, where the
+bytes differ, record by record (see its docstring).
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
 _Trial (via run_trial) runs one config on a list of battery floats; it
 alone writes and replays traces and checks the per-slot energy ledger.
-run_batch runs K configs that share one gain field and differ only in m
-and target_rate in lockstep: batteries and decoder sets are rows of (K, N)
-arrays, and every row equals run_trial's count for that config. The
-harness picks the engine by group size: a group of up to three configs
-runs as separate _Trial runs, larger groups run in lockstep.
+What does not read a battery (each relay's harvest, decode flag, and
+arrival flag or inversion power and energy) it derives with numpy,
+SLOT_CHUNK slots at a time, in _Trial.slot_terms; step does the battery
+work, and mrs_final_select picks by those energies. run_batch runs K
+configs that share one gain field and differ only in m and target_rate
+in lockstep: batteries and decoder sets are rows of (K, N) arrays, and
+every row equals run_trial's count for that config. The harness picks
+the engine by group size (harness.SCALAR_GROUP).
 """
 
 from __future__ import annotations
@@ -64,6 +61,7 @@ import binascii
 import contextlib
 import enum
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -94,6 +92,7 @@ FRAMED = "framed"
 LEDGER_TOL = 1e-9  # absolute per-slot energy-balance tolerance in debug mode
 GAIN_BLOCK = 4096  # slots of gains drawn per generator call
 CHUNK = 16  # slots of run_batch's costs and masks computed per numpy call
+SLOT_CHUNK = 256  # slots of _Trial's slot terms derived per numpy call
 MAX_SLOTS = 2**53  # the largest count a float holds exactly
 TRACE_FORMAT = 2  # run_trial's traces; format 1 holds floats as JSON numbers
 # how far a recorded gain may lie from replay's draw of it: numpy tests its
@@ -113,6 +112,10 @@ class Outcome(enum.Enum):
     NO_DECODER = "no_decoder"
     # mrs: decoders exist but none can afford its inversion energy
     NO_FEASIBLE_POWER = "no_feasible_power"
+
+    # members are singletons: an identity hash counts them without Enum's
+    # Python-level __hash__
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -344,12 +347,15 @@ def _gain_draws(config: SimConfig):
         left -= block
 
 
-def _gain_rows(config: SimConfig):
-    """Yield each slot's gains, g_sl then g_ld, as a row of little-endian
-    float64s: one row of _gain_draws at a time, never a whole block as
-    floats, which would raise peak memory."""
+def _gain_chunks(config: SimConfig):
+    """Yield the run's gains SLOT_CHUNK slots at a time, as (first slot,
+    rows of little-endian float64s): _Trial turns a chunk, never a whole
+    block, into Python floats, which keeps peak memory down."""
+    first = 0
     for gains in _gain_draws(config):
-        yield from gains.astype("<f8", copy=False)
+        for start in range(0, len(gains), SLOT_CHUNK):
+            yield first + start, gains[start:start + SLOT_CHUNK].astype("<f8", copy=False)
+        first += len(gains)
 
 
 def _unpack(text, count: int) -> list:
@@ -370,7 +376,7 @@ class _Trial:
 
     The state is one battery per relay and the message awaiting its
     FORWARD phase, as (message, decoder ids); srs keeps its single
-    designated decoder there.
+    designated decoder there. tally counts each post-warmup Outcome.
     """
 
     def __init__(self, config: SimConfig):
@@ -379,12 +385,42 @@ class _Trial:
         self.battery = [self.const.initial_energy] * config.n_relays
         self.pending: tuple[int, tuple[int, ...]] | None = None
         self.next_message = 0
+        self.warmup = config.warmup_messages()
+        self.tally = dict.fromkeys(Outcome, 0)
 
-    def step(self, slot, g_sl, g_ld, check=False):
-        """Run one slot; returns the resolved (message, outcome) pairs, the
-        forwarder, its transmit power, and the designated and decoded ids.
-        With check set, the slot's energy ledger and invariants are checked."""
+    def slot_terms(self, gains: np.ndarray) -> list[tuple]:
+        """Each slot's terms that read no battery, from gains, rows of g_sl
+        then g_ld, in run_batch's operation order: per relay its harvest if
+        idle (0 below the sense threshold), whether it decodes, and whether
+        its fixed-power forward arrives (srs) or its inversion power and
+        energy (mrs)."""
+        cfg, k, n = self.cfg, self.const, self.cfg.n_relays
+        g_sl, g_ld = gains[:, :n], gains[:, n:]
+        harvest = k.harvest_scale * g_sl * cfg.slot_duration / k.path_loss
+        harvest[harvest < cfg.sense_threshold] = 0.0
+        terms = [harvest.tolist(), (g_sl >= k.decode_min).tolist()]
+        none = itertools.repeat(None)  # the other policy's terms
+        if cfg.policy == MRS:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                power = k.numerator / g_ld
+                energy = power * cfg.slot_duration
+            # a zero gain costs nothing at rate 0, else inf; numerator / 0
+            # is inf, but 0 / 0 is nan, and the numerator underflows to 0
+            if k.numerator == 0:
+                zero_gain = g_ld == 0
+                power[zero_gain] = energy[zero_gain] = 0.0 if cfg.target_rate == 0 else math.inf
+            terms += [none, power.tolist(), energy.tolist()]
+        else:
+            terms += [(g_ld >= k.forward_min).tolist(), none, none]
+        return list(zip(*terms))
+
+    def step(self, slot, terms, check=False):
+        """Run one slot on its slot_terms; returns the resolved (message,
+        outcome) pairs, the forwarder, its transmit power, and the designated
+        and decoded ids. With check set, the slot's energy ledger and
+        invariants are checked."""
         cfg, k, battery = self.cfg, self.const, self.battery
+        harvest, decodes, arrives, power, energy = terms
         mrs = cfg.policy == MRS
         # the slot after the last one is the forward-only drain slot
         do_forward = cfg.schedule == PIPELINED or slot % 2 == 1 or slot >= cfg.n_slots
@@ -406,19 +442,16 @@ class _Trial:
             self.pending = None
             if not mrs:
                 forwarder, tx_power, cost = lam[0], k.tx_power, k.fixed_cost
-                ok = g_ld[forwarder] >= k.forward_min
+                ok = arrives[forwarder]
                 resolved.append((msg, Outcome.SUCCESS if ok else Outcome.DECODE_FAIL))
             elif not lam:
                 resolved.append((msg, Outcome.NO_DECODER))
             else:
-                pick = mrs_final_select(
-                    lam, battery, g_ld,
-                    cfg.target_rate, cfg.noise_var, cfg.distance, cfg.slot_duration,
-                )
-                if pick is None:
+                forwarder = mrs_final_select(lam, battery, energy)
+                if forwarder is None:
                     resolved.append((msg, Outcome.NO_FEASIBLE_POWER))
                 else:
-                    forwarder, tx_power, cost = pick
+                    tx_power, cost = power[forwarder], energy[forwarder]
                     # inversion power meets the rate by construction
                     resolved.append((msg, Outcome.SUCCESS))
             if forwarder is not None:
@@ -439,14 +472,11 @@ class _Trial:
                     resolved.append((msg, Outcome.NO_CANDIDATE))
                 else:
                     designated = [pick]
-            decoded = [rid for rid in designated if g_sl[rid] >= k.decode_min]
+            decoded = [rid for rid in designated if decodes[rid]]
             # idle relays harvest; listeners and the forwarder do not
             busy = {forwarder, *designated}
-            for rid, gain in enumerate(g_sl):
+            for rid, amount in enumerate(harvest):
                 if rid not in busy:
-                    amount = k.harvest_scale * gain * cfg.slot_duration / k.path_loss
-                    if amount < cfg.sense_threshold:
-                        amount = 0.0
                     battery[rid] += amount
                     harvested += amount
             if mrs or decoded:
@@ -455,6 +485,9 @@ class _Trial:
                 # relay could not decode; no transmission, no energy spent
                 resolved.append((msg, Outcome.DECODE_FAIL))
 
+        for msg, result in resolved:
+            if msg >= self.warmup:
+                self.tally[result] += 1
         if check:
             self._check_slot(slot, energy_before, harvested, debited, forwarder, designated)
         return resolved, forwarder, tx_power, designated, decoded
@@ -516,8 +549,6 @@ def run_trial(
     gains packed; its outcomes field holds each message's resolution.
     """
     n, n_slots = config.n_relays, config.n_slots
-    warmup = config.warmup_messages()
-    tally = dict.fromkeys(Outcome, 0)
     trial = _Trial(config)
     tracing = trace_path is not None
     if tracing:
@@ -534,18 +565,16 @@ def run_trial(
             }
             writer.write(json.dumps(header) + "\n")
             pack_battery = struct.Struct(f"<{n}d").pack
-        for slot, row in enumerate(_gain_rows(config)):
-            if slot >= n_slots and trial.pending is None:
-                break
-            values = row.tolist()
-            fields = trial.step(slot, values[:n], values[n:], check_invariants)
-            for msg, result in fields[0]:
-                if msg >= warmup:
-                    tally[result] += 1
-            if tracing:
-                battery = _b64(pack_battery(*trial.battery)).decode()
-                writer.write(_trace_line(slot, fields, battery, _b64(row).decode()))
-    return tally
+        for first, rows in _gain_chunks(config):
+            for slot, terms in enumerate(trial.slot_terms(rows), first):
+                if slot >= n_slots and trial.pending is None:
+                    break
+                fields = trial.step(slot, terms, check_invariants)
+                if tracing:
+                    battery = _b64(pack_battery(*trial.battery)).decode()
+                    gains = _b64(rows[slot - first]).decode()
+                    writer.write(_trace_line(slot, fields, battery, gains))
+    return trial.tally
 
 
 _BATCH_AXES = ("m", "target_rate")
@@ -732,6 +761,7 @@ class ReplayResult:
     ok: bool
     divergent_slot: int | None = None
     detail: str = ""
+    tally: dict[Outcome, int] | None = None  # run_trial's count, when ok
 
     def __bool__(self) -> bool:
         return self.ok
@@ -837,33 +867,36 @@ def replay_check(trace_path) -> ReplayResult:
         n, n_slots, packed = config.n_relays, config.n_slots, trace_format == TRACE_FORMAT
         pack_battery = struct.Struct(f"<{n}d").pack
         trial = _Trial(config)
-        rows = _gain_rows(config)
+        # each slot's gain row and terms, drawn as run_trial draws them
+        drawn_slots = (pair for _, rows in _gain_chunks(config)
+                       for pair in zip(rows, trial.slot_terms(rows)))
         slot = 0
         for line in fh:
             # run_trial stops after the last slot, or after the drain slot
             # that resolves the last message: refuse any line past the end
             if slot >= n_slots and trial.pending is None:
                 return _parse_record(line, slot, None, n, trace_format)
-            row = next(rows)
-            drawn, rec = row.tolist(), None
+            row, terms = next(drawn_slots)
+            rec = None
             gains = _b64(row) if packed else None
             # the ", " before the tail leaves its quotes unescaped, and
             # json.loads keeps the last of repeated keys: a line that ends
             # with the tail and parses holds exactly these gains
-            if packed and line.endswith(_GAINS_TAIL % gains):
-                recorded = drawn
-            else:
+            if not (packed and line.endswith(_GAINS_TAIL % gains)):
+                drawn = row.tolist()
                 checked = _parse_record(line, slot, drawn, n, trace_format)
                 if isinstance(checked, ReplayResult):
                     return checked
                 rec, recorded = checked
-            fields = trial.step(slot, recorded[:n], recorded[n:])
+                if recorded != drawn:  # equal gains give the drawn terms
+                    terms = trial.slot_terms(np.array([recorded]))[0]
+            fields = trial.step(slot, terms)
             battery = _b64(pack_battery(*trial.battery)).decode() if packed else list(trial.battery)
             if rec is None:
                 if line == _trace_line(slot, fields, battery, gains.decode()).encode():
                     slot += 1
                     continue
-                checked = _parse_record(line, slot, drawn, n, trace_format)
+                checked = _parse_record(line, slot, row.tolist(), n, trace_format)
                 if isinstance(checked, ReplayResult):
                     return checked
                 rec = checked[0]
@@ -882,4 +915,4 @@ def replay_check(trace_path) -> ReplayResult:
     # a trace cut where no message is pending steps cleanly up to its cut
     if slot < n_slots:
         return ReplayResult(False, slot, f"trace ends at slot {slot} of {n_slots}")
-    return ReplayResult(True)
+    return ReplayResult(True, tally=trial.tally)

@@ -8,9 +8,9 @@ which turns curve comparisons into paired ones and makes the expected
 monotonic trends hold sharply at finite sample sizes.
 
 A sweep runs as one job per gain field: the grid points that differ only
-in rate and pre-selection size. A job of up to SCALAR_GROUP points runs
-each on the scalar engine (engine.run_trial), which is faster there; a
-larger one steps its points in lockstep (engine.run_batch). Jobs go to a
+in rate and pre-selection size. A job of up to SCALAR_GROUP[policy] points
+runs each on the scalar engine (engine.run_trial), which is faster there;
+a larger one steps its points in lockstep (engine.run_batch). Jobs go to a
 process pool only when there are two or more of them and more than one
 worker; otherwise they run in this process. compare_policies is one mrs
 sweep over M = 1..N x rates (M* and both mrs curves) plus the srs curve:
@@ -46,11 +46,12 @@ from swiptrelay.errors import ConfigError
 
 _log = logging.getLogger(__name__)
 
-# the largest job that runs as separate run_trial calls: on a 2-core VM a
-# lockstep run of K = 3 points costs 1.4x (srs, N = 5) and 0.74x (mrs,
-# N = 10, M = 4) the three scalar runs; srs lockstep breaks even near K = 4,
-# mrs near K = 2
-SCALAR_GROUP = 3
+# per policy, the largest job that runs as separate run_trial calls: on a
+# 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 2.6x, 1.6x, 1.6x,
+# 0.96x (srs, N = 5) and 1.18x, 0.77x, 0.57x, 0.52x (mrs, N = 10, M = 4)
+# the K scalar runs; mrs breaks even between 2 and 3, srs near K = 5 (its
+# threshold waits for a bench workload of small srs groups)
+SCALAR_GROUP = {SRS: 3, MRS: 2}
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
 def _estimate_job(args: tuple[list[SimConfig], float]) -> list[OutageEstimate]:
     """Estimates for configs that share one gain field."""
     configs, z = args
-    if len(configs) <= SCALAR_GROUP:
+    if len(configs) <= SCALAR_GROUP[configs[0].policy]:
         tallies = [run_trial(config) for config in configs]
     else:
         tallies = run_batch(configs)
@@ -272,6 +273,8 @@ def compare_policies(
             raise ConfigError(f"n_points must be >= 2, got {n_points}")
         rates = np.linspace(0.5, 2.5, n_points).tolist()
     rates = [float(r) for r in rates]
+    if not rates:
+        raise ConfigError("rates must be non-empty")
     grid_rates = rates if base.target_rate in rates else [*rates, base.target_rate]
     m_star, rows = _mrs_grid(base, range(1, base.n_relays + 1), grid_rates, messages, z, workers)
     single, star = rows[0][:len(rates)], rows[m_star - 1][:len(rates)]

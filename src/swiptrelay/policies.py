@@ -8,7 +8,7 @@ relay id, plus the ids that are busy transmitting this slot:
 * two-step multi selection (destination-link CSI at transmit time): first
   designate the M richest relays as listeners, then, one slot later, pick
   the decoder that keeps the largest battery margin after paying its
-  channel-inversion transmit energy.
+  channel-inversion transmit energy, which the engine derives per relay.
 
 All functions are pure; every tie breaks toward the lowest relay id so runs
 are reproducible.
@@ -16,10 +16,7 @@ are reproducible.
 
 from __future__ import annotations
 
-import math
 from typing import Collection, Sequence
-
-from swiptrelay.channel import inversion_numerator
 
 
 def srs_select(
@@ -55,37 +52,23 @@ def mrs_preselect(
 
 
 def mrs_final_select(
-    decoded_ids: Sequence[int],
-    battery: Sequence[float],
-    gains_to_dest: Sequence[float],
-    target_rate: float,
-    noise_var: float,
-    distance: float,
-    slot_duration: float = 1.0,
-) -> tuple[int, float, float] | None:
+    decoded_ids: Sequence[int], battery: Sequence[float], energy: Sequence[float]
+) -> int | None:
     """Pick the forwarding relay among the decoders, given destination CSI.
 
-    gains_to_dest is indexed by relay id. Each decoder's transmit power is
-    the channel inversion for its own destination gain,
-    channel.inversion_numerator / gain (inf for a zero gain); the pick
-    maximizes battery minus the resulting energy cost over decoders that
-    can afford it. Returns (relay id, tx power W,
-    energy cost J), or None when no decoder exists or none can pay (a zero
-    gain makes that decoder infeasible, not an error).
+    energy is indexed by relay id: each relay's channel-inversion transmit
+    energy for its own destination gain, inf where a zero gain makes it
+    infeasible. The pick maximizes battery minus energy over the decoders
+    that can afford it. Returns the relay id, or None when no decoder
+    exists or none can pay.
     """
-    numerator = inversion_numerator(target_rate, noise_var, distance)
-    zero_gain_power = 0.0 if target_rate == 0 else math.inf
     best = None
     best_margin = None
     for rid in sorted(decoded_ids):
-        gain = gains_to_dest[rid]
-        power = zero_gain_power if gain == 0 else numerator / gain
-        cost = power * slot_duration
-        stored = battery[rid]
+        stored, cost = battery[rid], energy[rid]
         if stored < cost:
             continue
         margin = stored - cost
         if best_margin is None or margin > best_margin:
-            best = (rid, power, cost)
-            best_margin = margin
+            best, best_margin = rid, margin
     return best

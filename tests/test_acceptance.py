@@ -244,11 +244,12 @@ def test_6_invariant_suite():
         decoded = [c.id for c in view if rng.random() < 0.5]
         gains = [rng.choice([0.0, 0.3, rng.uniform(0, 5)]) for c in view]
         rate = rng.choice([0.5, 1.0, 2.0])
-        got = mrs_final_select(decoded, battery, gains, rate, 1.0, 1.0)
+        energy = [inversion_power(rate, g, 1.0, 1.0) for g in gains]
+        got = mrs_final_select(decoded, battery, energy)
         if (
             srs_select(battery, cost, busy) != _brute_srs(view, cost)
             or mrs_preselect(battery, m, busy) != sorted(_brute_preselect(view, m))
-            or (got[0] if got else None) != _brute_final(decoded, view, gains, rate)
+            or got != _brute_final(decoded, view, gains, rate)
         ):
             mismatches += 1
     verdict("selection rules match brute force", mismatches == 0,

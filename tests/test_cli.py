@@ -223,6 +223,26 @@ def test_run_trace_then_replay(tmp_path):
     assert run_cli("replay", str(trace)) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--policy", "srs", "--n", "5", "--schedule", "framed", "--warmup", "11"),
+        ("--policy", "mrs", "--m", "4", "--n", "10", "--eta", "0.05"),
+    ],
+    ids=["srs-framed-warmup", "mrs"],
+)
+def test_replay_reports_the_outages_of_the_csv_row(tmp_path, capsys, argv):
+    trace = tmp_path / "t.jsonl"
+    run_cli("run", *argv, "--messages", "500", "--out", str(tmp_path / "r.csv"),
+            "--trace", str(trace))
+    [row] = read_rows(tmp_path / "r.csv")
+    capsys.readouterr()
+    assert run_cli("replay", str(trace)) == 0
+    out = capsys.readouterr().out
+    assert out == f"replay ok: {trace} ({row['outages']}/{row['messages']} outages)\n"
+    assert row["messages"] == "500" and 0 < int(row["outages"]) < 500
+
+
 # -- config files ------------------------------------------------------------
 
 

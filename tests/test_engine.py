@@ -23,9 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import step
+import oracles
+from oracles import advance, step
 from swiptrelay import engine
-from swiptrelay.channel import draw_gain, gain_stream
+from swiptrelay.channel import MAX_GAIN, draw_gain, gain_stream
 from swiptrelay.engine import (
     GAIN_ULPS,
     Outcome,
@@ -262,7 +263,7 @@ def test_srs_relay_decode_failure_spends_nothing():
 
 def test_srs_destination_failure_still_spends_energy():
     trial = _Trial(srs_cfg())
-    trial.step(0, [0.5, 0.2], [HI, HI])
+    advance(trial, 0, [0.5, 0.2], [HI, HI])
     resolved, rec = step(trial, 1, [LO, LO], [0.29, HI])
     assert resolved == [(0, Outcome.DECODE_FAIL)]
     assert rec["battery"] == [90.0, 101.0]  # relay lacked CSI, energy is gone
@@ -279,7 +280,7 @@ def test_srs_no_candidate_when_nobody_can_pay():
 
 def test_srs_exact_battery_is_enough():
     trial = _Trial(srs_cfg(initial_energy=10.0, eta=0.0))
-    trial.step(0, [0.5, 0.2], [HI, HI])
+    advance(trial, 0, [0.5, 0.2], [HI, HI])
     resolved, rec = step(trial, 1, [LO, LO], [HI, HI])
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["battery"] == [0.0, 10.0]
@@ -287,7 +288,7 @@ def test_srs_exact_battery_is_enough():
 
 def test_pipelined_forwarder_misses_the_next_broadcast():
     trial = _Trial(srs_cfg(schedule="pipelined"))
-    trial.step(0, [0.5, 0.2], [HI, HI])
+    advance(trial, 0, [0.5, 0.2], [HI, HI])
     resolved, rec = step(trial, 1, [0.5, 0.4], [HI, HI])
     # relay 0 forwards message 0 and is excluded from designation
     assert (0, Outcome.SUCCESS) in resolved
@@ -315,7 +316,7 @@ def test_mrs_preselects_listeners_and_inverts_power():
 
 def test_mrs_picks_decoder_with_best_post_tx_margin():
     trial = _Trial(mrs_cfg())
-    trial.step(0, [0.5, 0.5, LO], [HI, HI, HI])
+    advance(trial, 0, [0.5, 0.5, LO], [HI, HI, HI])
     # costs: relay 0 pays 3/0.3 = 10, relay 1 pays 3/3.0 = 1
     resolved, rec = step(trial, 1, [LO, LO, LO], [0.3, 3.0, HI])
     assert resolved == [(0, Outcome.SUCCESS)]
@@ -325,7 +326,7 @@ def test_mrs_picks_decoder_with_best_post_tx_margin():
 
 def test_mrs_empty_decode_set_is_an_outage():
     trial = _Trial(mrs_cfg())
-    trial.step(0, [LO, LO, 0.4], [HI, HI, HI])
+    advance(trial, 0, [LO, LO, 0.4], [HI, HI, HI])
     resolved, rec = step(trial, 1, [LO, LO, LO], [HI, HI, HI])
     assert resolved == [(0, Outcome.NO_DECODER)]
     assert rec["forwarder"] is None
@@ -334,7 +335,7 @@ def test_mrs_empty_decode_set_is_an_outage():
 
 def test_mrs_unaffordable_inversion_is_an_outage_without_spending():
     trial = _Trial(mrs_cfg(initial_energy=1.0))
-    trial.step(0, [0.5, 0.5, LO], [HI, HI, HI])
+    advance(trial, 0, [0.5, 0.5, LO], [HI, HI, HI])
     # both decoders need 3/0.1 = 30 J against 1 J batteries
     resolved, rec = step(trial, 1, [LO, LO, LO], [0.1, 0.1, HI])
     assert resolved == [(0, Outcome.NO_FEASIBLE_POWER)]
@@ -343,8 +344,8 @@ def test_mrs_unaffordable_inversion_is_an_outage_without_spending():
 
 def test_mrs_zero_destination_gain_is_infeasible_not_fatal():
     trial = _Trial(mrs_cfg(m=1))
-    trial.step(0, [0.5, LO, LO], [HI, HI, HI])
-    resolved = trial.step(1, [LO, LO, LO], [0.0, HI, HI])[0]
+    advance(trial, 0, [0.5, LO, LO], [HI, HI, HI])
+    resolved = advance(trial, 1, [LO, LO, LO], [0.0, HI, HI])[0]
     assert resolved == [(0, Outcome.NO_FEASIBLE_POWER)]
 
 
@@ -357,7 +358,7 @@ def test_mrs_zero_gain_at_an_underflowing_rate(rate, outcome, forwarder, power):
     0, yet a zero gain still needs infinite power: only rate 0 forwards a
     lone decoder's message over it, for free."""
     trial = _Trial(mrs_cfg(m=1, target_rate=rate, initial_energy=0.0))
-    trial.step(0, [0.5, LO, LO], [HI, HI, HI])
+    advance(trial, 0, [0.5, LO, LO], [HI, HI, HI])
     resolved, rec = step(trial, 1, [LO, LO, LO], [0.0, HI, HI])
     assert resolved == [(0, outcome)]
     assert (rec["forwarder"], rec["tx_power"]) == (forwarder, power)
@@ -502,22 +503,23 @@ def test_check_invariants_flags_corrupted_battery():
     trial = _Trial(srs_cfg())
     trial.battery[0] = -5.0
     with pytest.raises(InvariantError, match="negative"):
-        trial.step(0, [0.5, 0.5], [HI, HI], check=True)
+        advance(trial, 0, [0.5, 0.5], [HI, HI], check=True)
 
 
 def test_unaffordable_forward_is_an_invariant_error():
     """srs and mrs share one debit site, which refuses to overdraw."""
     trial = _Trial(srs_cfg())
-    trial.step(0, [0.5, LO], [HI, HI])
+    advance(trial, 0, [0.5, LO], [HI, HI])
     trial.battery[0] = 9.5   # below the 10 J it was designated with
     with pytest.raises(InvariantError, match="cannot pay"):
-        trial.step(1, [LO, LO], [HI, HI])
+        advance(trial, 1, [LO, LO], [HI, HI])
 
     trial = _Trial(mrs_cfg())
-    trial.step(0, [0.5, LO, LO], [HI, HI, HI])
-    with mock.patch.object(engine, "mrs_final_select", return_value=(0, 1.0, 100.5)):
+    advance(trial, 0, [0.5, LO, LO], [HI, HI, HI])
+    # relay 0's inversion energy at this gain is 3e6 J, far above its battery
+    with mock.patch.object(engine, "mrs_final_select", return_value=0):
         with pytest.raises(InvariantError, match="cannot pay"):
-            trial.step(1, [LO] * 3, [HI] * 3)
+            advance(trial, 1, [LO] * 3, [1e-6, HI, HI])
 
 
 # Per-Outcome tallies recorded with the per-relay engine this one replaced,
@@ -614,6 +616,7 @@ def test_replay_accepts_own_trace(tmp_path):
     result = replay_check(_write_trace(tmp_path))
     assert result.ok and bool(result)
     assert result.divergent_slot is None
+    assert result.tally == run_trial(mrs_cfg(schedule="pipelined", n_slots=60, seed=31))
 
 
 def test_replay_rejects_tampered_battery(tmp_path):
@@ -1214,6 +1217,73 @@ def test_run_batch_zero_gains_at_an_underflowing_rate():
     assert tallies[0][Outcome.SUCCESS] == 400
     assert tallies[1][Outcome.NO_FEASIBLE_POWER] > 0
     assert tallies[1][Outcome.SUCCESS] + tallies[1][Outcome.NO_FEASIBLE_POWER] == 400
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(policy="srs"),
+        dict(policy="srs", target_rate=0.0),
+        dict(policy="srs", sense_threshold=0.3, slot_duration=0.7, distance=1.3),
+        dict(policy="mrs", m=2),
+        dict(policy="mrs", m=2, target_rate=0.0),
+        dict(policy="mrs", m=2, target_rate=1e-320),
+        dict(policy="mrs", m=2, sense_threshold=0.3, slot_duration=0.7, noise_var=0.5),
+    ],
+    ids=["srs", "srs-rate0", "srs-threshold", "mrs", "mrs-rate0", "mrs-rate1e-320",
+         "mrs-threshold"],
+)
+def test_slot_terms_equal_the_pure_python_reference(kw):
+    cfg = SimConfig(n_relays=4, eta=0.3, **kw)
+    rng = np.random.default_rng(5)
+    gains = draw_gain(rng, (300, 8))
+    gains[rng.random(gains.shape) < 0.1] = 0.0
+    gains[rng.random(gains.shape) < 0.05] = MAX_GAIN
+    # a sense threshold equal to the harvest of MAX_GAIN keeps that harvest
+    max_harvest = oracles.slot_terms(cfg, [MAX_GAIN], [MAX_GAIN])[0][0]
+    for config in (cfg, replace(cfg, sense_threshold=max_harvest)):
+        got = _Trial(config).slot_terms(gains)
+        want = [oracles.slot_terms(config, row[:4], row[4:]) for row in gains.tolist()]
+        # repr also tells the float and bool types and -0.0 apart
+        assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("schedule", ["pipelined", "framed"])
+@pytest.mark.parametrize(
+    "n_slots",
+    [engine.SLOT_CHUNK - 1, engine.SLOT_CHUNK, engine.SLOT_CHUNK + 1, engine.GAIN_BLOCK + 1],
+)
+def test_engines_and_replay_agree_across_chunk_edges(tmp_path, n_slots, schedule):
+    """run_trial, its trace's replay and run_batch count alike where the
+    run's slots (n_slots and the drain slot) end at, or cross, the edge of a
+    chunk of slot terms or of a gain block."""
+    for kw in (dict(policy="srs", eta=0.3), dict(policy="mrs", m=2, eta=0.05)):
+        base = SimConfig(n_relays=4, initial_energy=5.0, n_slots=n_slots, warmup_slots=7,
+                         schedule=schedule, seed=41, **kw)
+        configs = [replace(base, target_rate=rate) for rate in (0.5, 1.5)]
+        tallies = []
+        for cfg in configs:
+            trace = tmp_path / "t.jsonl"
+            tally = run_trial(cfg, trace_path=trace)
+            assert sum(tally.values()) == cfg.message_count()
+            assert replay_check(trace).tally == tally == run_trial(cfg)
+            tallies.append(tally)
+        assert run_batch(configs) == tallies
+
+
+def test_run_trial_memory_holds_one_chunk_of_slot_terms():
+    """An mrs N = 10 run over 8192 slots peaks near 1.3 MiB: slot terms are
+    Python floats SLOT_CHUNK slots at a time. A whole 4096-slot gain block
+    of them would take about 7 MiB."""
+    cfg = SimConfig(n_relays=10, policy="mrs", m=4, eta=0.05, n_slots=8192, seed=7)
+    run_trial(cfg)  # numpy's one-time allocations are not the run's
+    tracemalloc.start()
+    try:
+        run_trial(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def _run_batch_peak_bytes(n_slots):

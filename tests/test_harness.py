@@ -123,6 +123,8 @@ def test_sweep_groups_match_scalar_estimates(policy, workers):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_sweep_runs_small_groups_as_separate_scalar_runs(monkeypatch, k):
+    # mrs lockstep pays off from three points, srs from four
+    assert harness.SCALAR_GROUP == {"srs": 3, "mrs": 2}
     calls = []
 
     def counting(engine, run):
@@ -134,10 +136,12 @@ def test_sweep_runs_small_groups_as_separate_scalar_runs(monkeypatch, k):
     monkeypatch.setattr(harness, "run_trial", counting("scalar", run_trial))
     monkeypatch.setattr(harness, "run_batch", counting("lockstep", run_batch))
     rates = [0.5 + 0.25 * i for i in range(k)]
-    results = sweep(_spec(rates=rates))
-    scalar = k <= harness.SCALAR_GROUP
-    assert calls == (["scalar"] * k if scalar else ["lockstep"])
-    assert results == [SweepResult(r.config, estimate_outage(r.config)) for r in results]
+    for base in (SimConfig(seed=5), SimConfig(n_relays=3, policy="mrs", m=2, seed=5)):
+        calls.clear()
+        results = sweep(_spec(base=base, rates=rates))
+        scalar = k <= harness.SCALAR_GROUP[base.policy]
+        assert calls == (["scalar"] * k if scalar else ["lockstep"])
+        assert results == [SweepResult(r.config, estimate_outage(r.config)) for r in results]
 
 
 def _no_pool(*args, **kwargs):
@@ -188,6 +192,19 @@ def test_sweep_refuses_an_empty_axis(axis):
     if axis == "rates":
         with pytest.raises(ConfigError, match="^rates must be non-empty$"):
             compare_policies(base, rates=[], messages=100)
+
+
+def test_compare_refuses_empty_rates_before_it_runs_anything(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(harness, "run_trial", refuse)
+    monkeypatch.setattr(harness, "run_batch", refuse)
+    base = SimConfig(n_relays=3, policy="mrs", m=1)
+    with pytest.raises(ConfigError, match="^rates must be non-empty$"):
+        compare_policies(base, rates=[], messages=100)
+    with pytest.raises(ConfigError, match="^n_points must be >= 2, got 1$"):
+        compare_policies(base, n_points=1, messages=100)
 
 
 def test_optimize_m_is_consistent_with_its_own_table():

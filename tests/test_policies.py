@@ -8,11 +8,13 @@ import math
 import random
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import inversion_power
 from swiptrelay.channel import inversion_numerator
+from swiptrelay.engine import SimConfig, _Trial
 from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 
@@ -99,54 +101,58 @@ def test_preselect_clamps_to_available():
     assert mrs_preselect([5.0, 3.0], 2, busy={0}) == [1]
 
 
+def _energy(gains, rate=1.0, slot_duration=1.0):
+    """Each relay's inversion energy at unit noise and distance."""
+    return [inversion_power(rate, g, 1.0, 1.0) * slot_duration for g in gains]
+
+
 def test_final_select_maximizes_post_tx_margin():
     battery = [20.0, 20.0]
     gains = [0.3, 3.0]  # costs 10 and 1 at R = 1
-    rid, power, cost = mrs_final_select([0, 1], battery, gains, 1.0, 1.0, 1.0)
-    assert rid == 1
-    assert cost == pytest.approx(1.0)
-    assert power == pytest.approx(1.0)
+    assert _energy(gains) == [pytest.approx(10.0), 1.0]
+    assert mrs_final_select([0, 1], battery, _energy(gains)) == 1
 
 
 def test_final_select_margin_beats_raw_battery():
     # relay 0 is richer but its inversion cost eats the advantage
     battery = [15.0, 12.0]
     gains = [0.3, 3.0]  # costs 10 and 1: margins 5 vs 11
-    rid, _, _ = mrs_final_select([0, 1], battery, gains, 1.0, 1.0, 1.0)
-    assert rid == 1
+    assert mrs_final_select([0, 1], battery, _energy(gains)) == 1
 
 
 def test_final_select_skips_unaffordable_and_zero_gain():
     battery = [5.0, 30.0]
     gains = [0.3, 0.0]  # 0 cannot pay 10; 1 needs infinite power
-    assert mrs_final_select([0, 1], battery, gains, 1.0, 1.0, 1.0) is None
+    assert mrs_final_select([0, 1], battery, _energy(gains)) is None
 
 
 def test_final_select_zero_gain_at_an_underflowing_rate():
-    # the numerator underflows to 0, but the rate is not 0: a zero gain
-    # still needs infinite power
+    # the numerator underflows to 0, but the rate is not 0: the engine's
+    # slot terms give a zero gain infinite power, which no decoder can pay
     assert inversion_numerator(1e-320, 1.0, 1.0) == 0.0
-    assert mrs_final_select([0], [0.0], [0.0], 1e-320, 1.0, 1.0) is None
-    assert mrs_final_select([0], [0.0], [0.0], 0.0, 1.0, 1.0) == (0, 0.0, 0.0)
+    for rate, want_energy, want_pick in ((1e-320, math.inf, None), (0.0, 0.0, 0)):
+        trial = _Trial(SimConfig(n_relays=1, policy="mrs", m=1, target_rate=rate))
+        _, _, _, power, energy = trial.slot_terms(np.array([[1.0, 0.0]]))[0]
+        assert power == energy == [want_energy]
+        assert mrs_final_select([0], [0.0], energy) == want_pick
 
 
 def test_final_select_empty_decoders():
-    assert mrs_final_select([], [], [], 1.0, 1.0, 1.0) is None
+    assert mrs_final_select([], [], []) is None
 
 
 def test_final_select_tie_breaks_to_lowest_id():
     battery = [20.0, 20.0]
     gains = [1.0, 1.0]
-    rid, _, _ = mrs_final_select([1, 0], battery, gains, 1.0, 1.0, 1.0)
-    assert rid == 0
+    assert mrs_final_select([1, 0], battery, _energy(gains)) == 0
 
 
 def test_final_select_scales_cost_with_slot_duration():
     battery = [5.0]
     gains = [3.0]
     # power 1 W: affordable for 1 s (cost 1 J), not for 6 s (cost 6 J)
-    assert mrs_final_select([0], battery, gains, 1.0, 1.0, 1.0, 1.0) is not None
-    assert mrs_final_select([0], battery, gains, 1.0, 1.0, 1.0, 6.0) is None
+    assert mrs_final_select([0], battery, _energy(gains, slot_duration=1.0)) == 0
+    assert mrs_final_select([0], battery, _energy(gains, slot_duration=6.0)) is None
 
 
 def test_selection_matches_brute_force_on_random_instances():
@@ -165,13 +171,9 @@ def test_selection_matches_brute_force_on_random_instances():
         decoded = [c.id for c in view if rng.random() < 0.5]
         gains = [rng.choice([0.0, 0.3, 1.0, rng.uniform(0, 5)]) for c in view]
         rate = rng.choice([0.5, 1.0, 2.0])
-        got = mrs_final_select(decoded, battery, gains, rate, 1.0, 1.0)
+        got = mrs_final_select(decoded, battery, _energy(gains, rate))
         want = brute_final(decoded, view, gains, rate, 1.0, 1.0, 1.0)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got[0], got[2]) == (want[0], pytest.approx(want[1]))
+        assert got == (None if want is None else want[0])
 
 
 @given(

@@ -11,7 +11,7 @@ nothing; listeners neither pay nor harvest. At the default operating point
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import step
+from oracles import advance, step
 from swiptrelay.engine import Outcome, SimConfig, _Trial
 from swiptrelay.errors import ConfigError
 
@@ -71,7 +71,7 @@ def test_credit_accumulates():
 def test_credit_rejects_transmitting_relay():
     """The pipelined forwarder misses the broadcast and harvests nothing."""
     trial = _Trial(SimConfig(n_relays=3, schedule="pipelined").validate())
-    trial.step(0, [0.5, 0.4, 0.2], [HI] * 3, check=True)   # relay 0 listens
+    advance(trial, 0, [0.5, 0.4, 0.2], [HI] * 3, check=True)   # relay 0 listens
     resolved, rec = step(trial, 1, [HI] * 3, [HI] * 3, check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert (rec["forwarder"], rec["designated"]) == (0, [1])
@@ -95,7 +95,7 @@ def test_debit_spends_when_affordable():
     # mrs pays its inversion energy: power 3 / 0.5 = 6 W for 0.5 s
     trial = _Trial(SimConfig(n_relays=2, policy="mrs", m=1, eta=0.0, slot_duration=0.5,
                              schedule="framed").validate())
-    trial.step(0, [0.5, LO], [HI, HI])
+    advance(trial, 0, [0.5, LO], [HI, HI])
     resolved, rec = step(trial, 1, [LO, LO], [0.5, HI], check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["tx_power"] == 6.0
@@ -105,7 +105,7 @@ def test_debit_spends_when_affordable():
 def test_debit_allows_exact_sufficiency():
     trial = _Trial(SimConfig(n_relays=2, policy="mrs", m=1, eta=0.0, initial_energy=6.0,
                              schedule="framed").validate())
-    trial.step(0, [0.5, LO], [HI, HI])
+    advance(trial, 0, [0.5, LO], [HI, HI])
     resolved, rec = step(trial, 1, [LO, LO], [0.5, HI], check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert rec["battery"] == [0.0, 6.0]
@@ -114,7 +114,7 @@ def test_debit_allows_exact_sufficiency():
 def test_debit_refuses_and_leaves_battery_untouched():
     trial = _Trial(SimConfig(n_relays=2, policy="mrs", m=1, eta=0.0, initial_energy=6.0,
                              schedule="framed").validate())
-    trial.step(0, [0.5, LO], [HI, HI])
+    advance(trial, 0, [0.5, LO], [HI, HI])
     # cost 3 / 0.4999999 is a hair above the 6 J battery
     resolved, rec = step(trial, 1, [LO, LO], [0.4999999, HI], check=True)
     assert resolved == [(0, Outcome.NO_FEASIBLE_POWER)]
@@ -126,7 +126,7 @@ def test_debit_rejects_negative_cost():
     """At rate 0 the inversion power is 0: the forward spends nothing."""
     trial = _Trial(SimConfig(n_relays=2, policy="mrs", m=1, eta=0.0, target_rate=0.0,
                              initial_energy=0.0, schedule="framed").validate())
-    trial.step(0, [LO, LO], [HI, HI])
+    advance(trial, 0, [LO, LO], [HI, HI])
     resolved, rec = step(trial, 1, [LO, LO], [LO, HI], check=True)
     assert resolved == [(0, Outcome.SUCCESS)]
     assert (rec["forwarder"], rec["tx_power"], rec["battery"]) == (0, 0.0, [0.0, 0.0])
