@@ -2,16 +2,15 @@
 
 Each slot runs a fixed sequence of phases:
 
-1. FORWARD: if last slot designated a forwarder for the previous message,
-   it transmits to the destination now and is unavailable for anything else
-   this slot. Under "srs" the relay (picked last slot) sends at fixed power
-   and the message fails if the destination link rate falls short; under
-   "mrs" the forwarder is picked now from last slot's decoders using fresh
-   destination CSI and channel-inversion power, so a feasible pick always
-   succeeds.
-2. DESIGNATE: among non-transmitting relays, pick who listens to this
-   slot's broadcast, either the single affordable energy-richest relay
-   (srs) or the M energy-richest (mrs).
+1. FORWARD: the decoder of the previous broadcast that keeps the largest
+   battery margin after paying its transmit cost, if that margin is >= 0,
+   transmits to the destination now and is unavailable for anything else
+   this slot. Under "srs" the cost is fixed and the message fails if the
+   destination link rate falls short; under "mrs" the cost is the
+   channel-inversion energy for fresh destination CSI, so a forward
+   always succeeds.
+2. DESIGNATE: the M energy-richest non-transmitting relays listen to this
+   slot's broadcast: under "srs" M = 1, and only if it can pay the cost.
 3. BROADCAST: the source transmits. Listeners attempt to decode; idle
    relays harvest the RF energy instead. Listening and transmitting relays
    harvest nothing. The decode results carry to the next slot's FORWARD
@@ -45,13 +44,13 @@ count of each Outcome over the post-warmup messages, every key present.
 _Trial (via run_trial) runs one config on a list of battery floats; it
 alone writes and replays traces and checks the per-slot energy ledger.
 What does not read a battery (each relay's harvest, decode flag, and
-arrival flag or inversion power and energy) it derives with numpy,
-SLOT_CHUNK slots at a time, in _Trial.slot_terms; step does the battery
-work, and mrs_final_select picks by those energies. run_batch runs K
-configs that share one gain field and differ only in m and target_rate
-in lockstep: batteries and decoder sets are rows of (K, N) arrays, and
-every row equals run_trial's count for that config. The harness picks
-the engine by group size (harness.SCALAR_GROUP).
+arrival flag or inversion power and energy) it derives with numpy, one
+gain block at a time, in _Trial.slot_terms; step does the battery work,
+and mrs_final_select picks by those energies. run_batch runs K configs
+that share one gain field and differ only in m and target_rate in
+lockstep, both policies on one path: batteries and decoder sets are rows
+of (K, N) arrays, and every row equals run_trial's count for that config.
+The harness picks the engine by group size (harness.SCALAR_GROUP).
 """
 
 from __future__ import annotations
@@ -90,9 +89,8 @@ PIPELINED = "pipelined"
 FRAMED = "framed"
 
 LEDGER_TOL = 1e-9  # absolute per-slot energy-balance tolerance in debug mode
-GAIN_BLOCK = 4096  # slots of gains drawn per generator call
+GAIN_BLOCK = 256  # slots of gains drawn, and of _Trial's slot terms derived, per call
 CHUNK = 16  # slots of run_batch's costs and masks computed per numpy call
-SLOT_CHUNK = 256  # slots of _Trial's slot terms derived per numpy call
 MAX_SLOTS = 2**53  # the largest count a float holds exactly
 TRACE_FORMAT = 2  # run_trial's traces; format 1 holds floats as JSON numbers
 # how far a recorded gain may lie from replay's draw of it: numpy tests its
@@ -158,8 +156,9 @@ class SimConfig:
             # a str or bool would reach the range comparisons below
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            # NaN slips through every range comparison below, and inf through most
-            if isinstance(value, float) and not math.isfinite(value):
+            # NaN slips through every range comparison below, and inf through
+            # most; an int is finite, and math.isfinite overflows on a large one
+            if not isinstance(value, int) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
             # the messages below print the value, and str() refuses an int of
             # more digits than sys.get_int_max_str_digits()
@@ -333,29 +332,19 @@ def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
 
 
 def _gain_draws(config: SimConfig):
-    """Yield the run's gains as (block, 2N) arrays, each row a slot's g_sl
-    then g_ld.
+    """Yield the run's gains GAIN_BLOCK slots at a time, as (block, 2N)
+    arrays of little-endian float64s, each row a slot's g_sl then g_ld.
 
     The blocks cover slots 0 to n_slots, the possible drain slot included,
-    and hold the values that 2N draws per slot would give.
+    and hold the values that 2N draws per slot would give. _Trial turns one
+    block at a time into Python floats, which keeps peak memory down.
     """
     rng = gain_stream(config.seed)
     left = config.n_slots + 1
     while left > 0:
         block = min(GAIN_BLOCK, left)
-        yield draw_gain(rng, (block, 2 * config.n_relays))
+        yield draw_gain(rng, (block, 2 * config.n_relays)).astype("<f8", copy=False)
         left -= block
-
-
-def _gain_chunks(config: SimConfig):
-    """Yield the run's gains SLOT_CHUNK slots at a time, as (first slot,
-    rows of little-endian float64s): _Trial turns a chunk, never a whole
-    block, into Python floats, which keeps peak memory down."""
-    first = 0
-    for gains in _gain_draws(config):
-        for start in range(0, len(gains), SLOT_CHUNK):
-            yield first + start, gains[start:start + SLOT_CHUNK].astype("<f8", copy=False)
-        first += len(gains)
 
 
 def _unpack(text, count: int) -> list:
@@ -409,7 +398,8 @@ class _Trial:
             if k.numerator == 0:
                 zero_gain = g_ld == 0
                 power[zero_gain] = energy[zero_gain] = 0.0 if cfg.target_rate == 0 else math.inf
-            terms += [none, power.tolist(), energy.tolist()]
+            # step reads one power a slot, the forwarder's: rows stay numpy
+            terms += [none, power, energy.tolist()]
         else:
             terms += [(g_ld >= k.forward_min).tolist(), none, none]
         return list(zip(*terms))
@@ -451,7 +441,7 @@ class _Trial:
                 if forwarder is None:
                     resolved.append((msg, Outcome.NO_FEASIBLE_POWER))
                 else:
-                    tx_power, cost = power[forwarder], energy[forwarder]
+                    tx_power, cost = float(power[forwarder]), energy[forwarder]
                     # inversion power meets the rate by construction
                     resolved.append((msg, Outcome.SUCCESS))
             if forwarder is not None:
@@ -565,7 +555,8 @@ def run_trial(
             }
             writer.write(json.dumps(header) + "\n")
             pack_battery = struct.Struct(f"<{n}d").pack
-        for first, rows in _gain_chunks(config):
+        first = 0
+        for rows in _gain_draws(config):
             for slot, terms in enumerate(trial.slot_terms(rows), first):
                 if slot >= n_slots and trial.pending is None:
                     break
@@ -574,6 +565,7 @@ def run_trial(
                     battery = _b64(pack_battery(*trial.battery)).decode()
                     gains = _b64(rows[slot - first]).decode()
                     writer.write(_trace_line(slot, fields, battery, gains))
+            first += len(rows)
     return trial.tally
 
 
@@ -627,17 +619,18 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     # the numerator is 0 at rate 0 and where it underflows
     zero_gain_cost = np.array([[0.0 if c.target_rate == 0 else np.inf] for c in configs])
     any_zero_numerator = bool(_any(numerator == 0, None))
-    if mrs:
-        # the relay at rank r of a row's order listens iff r < m
-        top = np.arange(n) < np.array([[c.m] for c in configs])
-        # a message that tried and failed had decoders; one that did not, none
-        tried_fail, untried_fail = _NO_FEASIBLE, _NO_DECODER
-    else:
-        # tried: a relay was designated
-        tried_fail, untried_fail = _DECODE_FAIL, _NO_CANDIDATE
     shared = rows[0]
     fixed_cost = shared.fixed_cost
     slot_duration = first.slot_duration
+    # the relay at rank r of a row's order listens iff r < m
+    top = np.arange(n) < np.array([[c.m if mrs else 1] for c in configs])
+    if mrs:
+        # a message that tried and failed had decoders; one that did not, none
+        tried_fail, untried_fail = _NO_FEASIBLE, _NO_DECODER
+    else:
+        # tried: the message had a listener
+        tried_fail, untried_fail = _DECODE_FAIL, _NO_CANDIDATE
+        costs = [fixed_cost] * CHUNK  # each slot of a chunk pays the fixed cost
 
     battery = np.full((k, n), shared.initial_energy)
     # battery[row, relay] is battery.flat[offsets[row] + relay]
@@ -645,19 +638,21 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     row_cells = np.repeat(offsets, n).reshape(k, n)  # offsets[:, None], in full
     listening = np.empty((k, n), bool)
     listening_cells = listening.reshape(-1)
+    spent = np.empty((k, n), bool)  # the relays that paid this slot's forward
+    spent_cells = spent.reshape(-1)
+    free = np.ones((k, n), bool)  # every relay is available in a slot without a forward
     # where's fill values, in full: numpy broadcasts a scalar more slowly
     plus_inf, minus_inf = np.full((k, n), np.inf), np.full((k, n), -np.inf)
     # the pending message is always the last one broadcast: message - 1
     pending = False
-    decoders = np.zeros((k, n), bool)    # mrs: the pending message's decoders
-    has_pending = np.zeros(k, bool)      # srs: rows with a pending message
-    holder = offsets                     # srs: its designated decoder's cell
     # one gain block's per-message flags: row i is message held + i
     flag_rows = (min(GAIN_BLOCK, n_slots) + 1, k)
-    succeeded = np.zeros(flag_rows, bool)   # paid (mrs) or arrived (srs)
+    succeeded = np.zeros(flag_rows, bool)   # paid, and for srs arrived
     tried = np.zeros(flag_rows, bool)       # had a decoder (mrs) or a listener (srs)
     unresolved = np.zeros(flag_rows, bool)  # broadcast and awaiting its forward
     counts = np.zeros((k, len(_OUTCOMES)), np.int64)
+    # row r's outcome codes count at r * len(_OUTCOMES) + code
+    code_base = np.arange(0, counts.size, len(_OUTCOMES))
     warmup = first.warmup_messages()
     message = held = slot = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -679,60 +674,39 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                         costs *= slot_duration
                     else:
                         arrives = g_ld[chunk] >= forward_min
-                available = None
+                available = free
                 # 1. FORWARD
                 if pending and (pipelined or slot % 2 == 1 or slot >= n_slots):
                     row = message - 1 - held
-                    if mrs:
-                        spare = battery - costs[j]
-                        margin = np.where(decoders, spare, minus_inf)
-                        payer = offsets + margin.argmax(1)
-                        # a decoder pays iff it keeps a margin >= 0, so
-                        # no payer overdraws
-                        pays = np.greater_equal(margin.take(payer), 0.0, out=succeeded[row])
-                    else:
-                        spare = battery - fixed_cost
-                        payer, pays = holder, has_pending
-                        np.logical_and(arrives[j].take(holder), pays, out=succeeded[row])
-                        if _any((spare.take(payer) < 0) & pays):
-                            raise InvariantError(
-                                f"slot {slot}: a forwarding relay cannot pay its transmission"
-                            )
-                    spent = np.zeros((k, n), bool)
-                    spent.reshape(-1)[payer] = pays
+                    spare = battery - costs[j]
+                    margin = np.where(decoders, spare, minus_inf)
+                    payer = offsets + margin.argmax(1)
+                    # the best decoder pays iff its margin is >= 0, so no payer
+                    # overdraws; a message without decoders is not forwarded
+                    pays = np.greater_equal(margin.take(payer), 0.0, out=succeeded[row])
+                    spent.fill(False)
+                    spent_cells[payer] = pays
                     np.putmask(battery, spent, spare)
                     available = ~spent
+                    if not mrs:  # a fixed-power forward must also arrive
+                        pays &= arrives[j].take(payer)
                     unresolved[row] = False
                     pending = False
                 # 2. DESIGNATE + 3. BROADCAST
                 if slot < n_slots and (pipelined or slot % 2 == 0):
                     row = message - held
-                    if mrs:
-                        # stable: equal batteries rank by relay id
-                        rank = -battery
-                        if available is not None:
-                            rank = np.where(available, rank, plus_inf)
-                        listening_cells[rank.argsort(1, kind="stable") + row_cells] = top
-                        if available is not None:
-                            listening &= available
-                        decoders = listening & decodes[j]
-                        _any(decoders, 1, out=tried[row])
-                        unresolved[row] = True
-                        pending = True
-                    else:
-                        score = battery
-                        if available is not None:
-                            score = np.where(available, battery, minus_inf)
-                        holder = offsets + score.argmax(1)
-                        designated = tried[row]
-                        np.greater_equal(score.take(holder), fixed_cost, out=designated)
-                        listening = np.zeros((k, n), bool)
-                        listening.reshape(-1)[holder] = designated
-                        has_pending = designated & decodes[j].take(holder)
-                        unresolved[row] = has_pending
-                        pending = bool(_any(has_pending))
+                    # stable: equal batteries rank by relay id
+                    rank = np.where(available, -battery, plus_inf)
+                    listening_cells[rank.argsort(1, kind="stable") + row_cells] = top
+                    listening &= available
+                    if not mrs:  # a listener must afford its forward
+                        listening &= battery >= fixed_cost
+                    decoders = listening & decodes[j]  # read by the next FORWARD
+                    _any(decoders if mrs else listening, 1, out=tried[row])
+                    unresolved[row] = True
+                    pending = True
                     # idle relays harvest; listeners and the forwarder do not
-                    idle = ~listening if available is None else available ^ listening
+                    idle = available ^ listening
                     # a busy relay adds harvest * False, +0.0: its battery stays
                     battery += harvest[b] * idle
                     message += 1
@@ -745,8 +719,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
             codes = np.full(succeeded[counted].shape, untried_fail, np.int8)
             np.copyto(codes, tried_fail, where=tried[counted])
             np.copyto(codes, _SUCCESS, where=succeeded[counted])
-            for row in range(k):
-                counts[row] += np.bincount(codes[:, row], minlength=len(_OUTCOMES))
+            counts += np.bincount((codes + code_base).ravel(), minlength=counts.size).reshape(k, -1)
             for flags in (succeeded, tried, unresolved):
                 flags[0] = flags[last - held] if pending else False
                 flags[1:] = False
@@ -868,7 +841,7 @@ def replay_check(trace_path) -> ReplayResult:
         pack_battery = struct.Struct(f"<{n}d").pack
         trial = _Trial(config)
         # each slot's gain row and terms, drawn as run_trial draws them
-        drawn_slots = (pair for _, rows in _gain_chunks(config)
+        drawn_slots = (pair for rows in _gain_draws(config)
                        for pair in zip(rows, trial.slot_terms(rows)))
         slot = 0
         for line in fh:

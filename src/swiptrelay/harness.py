@@ -47,9 +47,9 @@ from swiptrelay.errors import ConfigError
 _log = logging.getLogger(__name__)
 
 # per policy, the largest job that runs as separate run_trial calls: on a
-# 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 2.6x, 1.6x, 1.6x,
-# 0.96x (srs, N = 5) and 1.18x, 0.77x, 0.57x, 0.52x (mrs, N = 10, M = 4)
-# the K scalar runs; mrs breaks even between 2 and 3, srs near K = 5 (its
+# 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 2.7x, 1.9x, 1.4x,
+# 1.11x (srs, N = 5) and 1.22x, 0.81x, 0.65x, 0.54x (mrs, N = 10, M = 4)
+# the K scalar runs; mrs breaks even between 2 and 3, srs beyond K = 5 (its
 # threshold waits for a bench workload of small srs groups)
 SCALAR_GROUP = {SRS: 3, MRS: 2}
 
