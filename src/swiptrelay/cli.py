@@ -148,8 +148,8 @@ def _convert(param: Param, value):
 def _read_config_file(path: str) -> dict:
     """Flat key = value text, or a JSON manifest (its params block is used)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     if text.lstrip().startswith("{"):
         try:
@@ -187,11 +187,15 @@ def _resolve_params(args: argparse.Namespace, command: str) -> dict:
     return params
 
 
-def _config_from_params(params: dict) -> SimConfig:
+def _config_from_params(params: dict, first_m: int | None = None) -> SimConfig:
+    """The base config; an mrs one without m takes first_m, the first M
+    the command runs (params keep m null, so the manifest still does)."""
     n_slots = slots_for_messages(
         params["messages"], params["warmup"], params["schedule"]
     )
     fields = {p.field: params[p.key] for p in PARAMS if p.field}
+    if fields["m"] is None and fields["policy"] == MRS:
+        fields["m"] = first_m
     return SimConfig(n_slots=n_slots, **fields)
 
 
@@ -278,7 +282,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args, "sweep")
-    base = _config_from_params(params)
+    base = _config_from_params(params, (params["ms"] or [None])[0])
     results = sweep(SweepSpec(
         base=base, rates=params["rates"], etas=params["etas"], n_relays=params["ns"],
         ms=params["ms"], messages=params["messages"], z=params["z"], crn=params["crn"],
@@ -292,7 +296,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_opt_m(args) -> int:
     params = _resolve_params(args, "opt-m")
-    base = _config_from_params(params)
+    base = _config_from_params(params, (params["ms"] or [1])[0])
     star = optimize_m(base, m_values=params["ms"], messages=params["messages"],
                       z=params["z"], workers=params["workers"])
     rows = [_row(r.config, r.estimate) for r in star.results]
@@ -309,7 +313,7 @@ def _cmd_opt_m(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = _resolve_params(args, "compare")
-    base = _config_from_params(params)
+    base = _config_from_params(params, 1)  # its mrs grid runs M = 1..n
     report = compare_policies(base, rates=params["rates"], n_points=params["n_points"],
                               messages=params["messages"], z=params["z"],
                               workers=params["workers"])

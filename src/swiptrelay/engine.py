@@ -31,13 +31,12 @@ time, which yields the same values as slot-by-slot draws.
 A trace is JSON lines: a config header, then one record per stepped slot
 with the forwarder, its transmit power, the designated and decoded relays,
 the resolved outcomes, the batteries after the slot and the slot's gains.
-Format 2 traces (header "format": 2) pack the batteries and the gains as
-base64 of little-endian float64s, exact and cheap to write and read;
-format 1 traces, whose header has no "format", hold them as JSON numbers.
+The header's "format": 2 says that the batteries and the gains are packed
+as base64 of little-endian float64s, exact and cheap to write and read.
 run_trial writes each record line from one template (_trace_line), whose
 bytes are those of json.dumps of the record; replay_check steps each
 record once more and checks it against that template, or, where the
-bytes differ, record by record (see its docstring).
+bytes differ, field by field (see its docstring).
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
@@ -92,7 +91,7 @@ LEDGER_TOL = 1e-9  # absolute per-slot energy-balance tolerance in debug mode
 GAIN_BLOCK = 256  # slots of gains drawn, and of _Trial's slot terms derived, per call
 CHUNK = 16  # slots of run_batch's costs and masks computed per numpy call
 MAX_SLOTS = 2**53  # the largest count a float holds exactly
-TRACE_FORMAT = 2  # run_trial's traces; format 1 holds floats as JSON numbers
+TRACE_FORMAT = 2  # the one trace format: floats packed as base64
 # how far a recorded gain may lie from replay's draw of it: numpy tests its
 # float64 log1p to 1 ulp on every CPU path, so two CPUs may differ by 2
 GAIN_ULPS = 4
@@ -496,7 +495,7 @@ class _Trial:
 
 # a trace record's JSON outcome pair, after the message id
 _OUTCOME_TAILS = {res: f', "{res.value}"]' for res in Outcome}
-# the end of _trace_line's template: a format 2 record line ends with its
+# the end of _trace_line's template: a record line ends with its
 # gains, so replay can find them unparsed
 _GAINS_TAIL = b', "gains": "%s"}\n'
 # bytes as base64 on one line; a partial adds no Python frame per call
@@ -741,22 +740,6 @@ class ReplayResult:
 
 
 _REPLAY_FIELDS = ("forwarder", "tx_power", "designated", "decoded", "outcomes", "battery")
-_GAIN_TYPES = frozenset((float, int))  # what json.loads makes of a number; bool is neither
-
-
-def _recorded_gains(rec: dict, n: int, trace_format: int) -> list:
-    """The 2n gains a record was stepped on, g_sl then g_ld. A ValueError or
-    TypeError refuses gains that are not 2n finite numbers."""
-    if trace_format == TRACE_FORMAT:
-        return _unpack(rec["gains"], 2 * n)
-    g_sl, g_ld = rec["g_sl"], rec["g_ld"]
-    if len(g_sl) != n or len(g_ld) != n:
-        raise ValueError(f"gain lists must have {n} entries")
-    # every gain, read by this slot's rules or not; map keeps it cheap
-    gains = g_sl + g_ld
-    if not (_GAIN_TYPES.issuperset(map(type, gains)) and all(map(math.isfinite, gains))):
-        raise ValueError("gains must be finite numbers")
-    return gains
 
 
 def _malformed(slot: int, exc: Exception) -> ReplayResult:
@@ -779,11 +762,11 @@ def _gain_mismatch(recorded: list, drawn: list, n: int) -> str | None:
     return None
 
 
-def _parse_record(line: bytes, slot: int, drawn: list | None, n: int, trace_format: int):
+def _parse_record(line: bytes, slot: int, drawn: list | None, n: int):
     """Parse the record line of a slot and check it as far as the step: its
-    slot number, and its gains against drawn, the seed's draw for the slot,
-    or None past the end of the run. Returns (record, gains), or the
-    ReplayResult that refuses the line."""
+    slot number, and its 2n packed gains against drawn, the seed's draw for
+    the slot, or None past the end of the run. Returns (record, gains), or
+    the ReplayResult that refuses the line."""
     try:
         rec = json.loads(line.decode())
         recorded_slot = rec["slot"]
@@ -796,8 +779,8 @@ def _parse_record(line: bytes, slot: int, drawn: list | None, n: int, trace_form
     if drawn is None:
         return ReplayResult(False, slot, "record past the end of the run")
     try:
-        gains = _recorded_gains(rec, n, trace_format)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        gains = _unpack(rec["gains"], 2 * n)
+    except (ValueError, KeyError, TypeError) as exc:
         return _malformed(slot, exc)
     if gains != drawn:
         mismatch = _gain_mismatch(gains, drawn, n)
@@ -807,19 +790,17 @@ def _parse_record(line: bytes, slot: int, drawn: list | None, n: int, trace_form
 
 
 def replay_check(trace_path) -> ReplayResult:
-    """Recompute every state transition of a trace on its recorded gains.
+    """Recompute every state transition of a format 2 trace on its gains.
 
     The file is read once, one line at a time, and each record is stepped
-    once. A format 2 line that ends with the seed's draw for its slot, drawn
-    again as run_trial draws it, is stepped on that draw; if it then equals
-    the line run_trial writes, it is ok without being parsed. Any other
-    line, and every format 1 record, is parsed and checked: its gains must
-    lie within GAIN_ULPS of the seed's draw, and the step on them must match
-    the record bit-exactly and in JSON type. numpy's log1p rounds
-    differently on some CPUs, so every record of a trace written on another
-    CPU is parsed, and it replays ok there too. Returns ok=True iff every
-    record matches and the records reach the end of the run; otherwise
-    reports the first divergent slot.
+    once. A line that ends with the seed's draw for its slot, drawn again as
+    run_trial draws it, is stepped on that draw unparsed. Any other line is
+    parsed, and its gains must lie within GAIN_ULPS of the draw (numpy's
+    log1p rounds differently on some CPUs). Each line must then equal the
+    one run_trial writes for its step and gains; a line that does not is
+    compared field by field, bit-exactly and in JSON type, to name the
+    field that diverged. Returns ok=True iff every record matches and the
+    records reach the end of the run; otherwise the first divergent slot.
     """
     with open(trace_path, "rb") as fh:
         first = fh.readline()
@@ -832,12 +813,12 @@ def replay_check(trace_path) -> ReplayResult:
             config_data = None
         if not isinstance(config_data, dict):
             return ReplayResult(False, None, "missing config header")
+        # no "format" is format 1; exactly: true and 2.0 compare equal to 1, 2
         trace_format = header.get("format", 1)
-        # exactly: true and 2.0 compare equal to 1 and 2
-        if type(trace_format) is not int or trace_format not in (1, TRACE_FORMAT):
+        if type(trace_format) is not int or trace_format != TRACE_FORMAT:
             return ReplayResult(False, None, f"unknown trace format {trace_format!r}")
         config = SimConfig.from_dict(config_data)
-        n, n_slots, packed = config.n_relays, config.n_slots, trace_format == TRACE_FORMAT
+        n, n_slots = config.n_relays, config.n_slots
         pack_battery = struct.Struct(f"<{n}d").pack
         trial = _Trial(config)
         # each slot's gain row and terms, drawn as run_trial draws them
@@ -848,28 +829,29 @@ def replay_check(trace_path) -> ReplayResult:
             # run_trial stops after the last slot, or after the drain slot
             # that resolves the last message: refuse any line past the end
             if slot >= n_slots and trial.pending is None:
-                return _parse_record(line, slot, None, n, trace_format)
+                return _parse_record(line, slot, None, n)
             row, terms = next(drawn_slots)
             rec = None
-            gains = _b64(row) if packed else None
+            gains = _b64(row)
             # the ", " before the tail leaves its quotes unescaped, and
             # json.loads keeps the last of repeated keys: a line that ends
             # with the tail and parses holds exactly these gains
-            if not (packed and line.endswith(_GAINS_TAIL % gains)):
+            if not line.endswith(_GAINS_TAIL % gains):
                 drawn = row.tolist()
-                checked = _parse_record(line, slot, drawn, n, trace_format)
+                checked = _parse_record(line, slot, drawn, n)
                 if isinstance(checked, ReplayResult):
                     return checked
                 rec, recorded = checked
                 if recorded != drawn:  # equal gains give the drawn terms
                     terms = trial.slot_terms(np.array([recorded]))[0]
+                gains = rec["gains"].encode()  # the record's own, checked
             fields = trial.step(slot, terms)
-            battery = _b64(pack_battery(*trial.battery)).decode() if packed else list(trial.battery)
+            battery = _b64(pack_battery(*trial.battery)).decode()
+            if line == _trace_line(slot, fields, battery, gains.decode()).encode():
+                slot += 1
+                continue
             if rec is None:
-                if line == _trace_line(slot, fields, battery, gains.decode()).encode():
-                    slot += 1
-                    continue
-                checked = _parse_record(line, slot, row.tolist(), n, trace_format)
+                checked = _parse_record(line, slot, row.tolist(), n)
                 if isinstance(checked, ReplayResult):
                     return checked
                 rec = checked[0]

@@ -381,6 +381,15 @@ def test_config_file_malformed_line_exits_1(tmp_path, capsys):
     assert "key = value" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exits_1(tmp_path, capsys):
+    conf = tmp_path / "c.conf"
+    conf.write_bytes(b"\xff\xfen = 3\n")
+    assert run_cli("run", "--config", str(conf)) == 1
+    err = capsys.readouterr().err
+    assert f"cannot read config file {conf}" in err
+    assert "Traceback" not in err
+
+
 # -- sweep, opt-m, compare ---------------------------------------------------
 
 
@@ -465,6 +474,29 @@ def test_rerun_from_manifest_reproduces_csv_for_every_table_command(tmp_path, ar
     assert run_cli(*argv, "--out", str(out)) == 0
     sidecar = tmp_path / "first.csv.manifest.json"
     again = tmp_path / "again.csv"
+    assert run_cli(argv[0], "--config", str(sidecar), "--out", str(again)) == 0
+    assert out.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--policy", "mrs", "--n", "5", "--ms", "1,3", "--rates", "0.5,2.0"),
+        ("opt-m", "--policy", "mrs", "--n", "5"),
+        ("compare", "--policy", "mrs", "--n", "5"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_mrs_table_commands_run_without_m(tmp_path, argv):
+    """Each of these commands sets every point's M, so --m may be unset: the
+    table equals the one with --m set to the first M run, and the manifest,
+    whose m stays null, reproduces it."""
+    out, with_m, again = (tmp_path / f"{name}.csv" for name in ("out", "with_m", "again"))
+    assert run_cli(*argv, "--messages", "60", "--out", str(out)) == 0
+    assert run_cli(*argv, "--m", "1", "--messages", "60", "--out", str(with_m)) == 0
+    assert out.read_bytes() == with_m.read_bytes()
+    sidecar = tmp_path / "out.csv.manifest.json"
+    assert json.loads(sidecar.read_text())["params"]["m"] is None
     assert run_cli(argv[0], "--config", str(sidecar), "--out", str(again)) == 0
     assert out.read_bytes() == again.read_bytes()
 
@@ -599,29 +631,30 @@ def test_replay_tampered_trace_exits_1(tmp_path, capsys):
 
 
 def _unread_g_ld(rec, value):
-    """rec as a JSON line, with every g_ld entry but the forwarder's set to value."""
-    g_ld = [g if rid == rec["forwarder"] else value for rid, g in enumerate(rec["g_ld"])]
-    return json.dumps({**rec, "g_ld": g_ld})
+    """rec as a JSON line, with every packed g_ld entry but the forwarder's
+    set to value."""
+    gains = np.frombuffer(base64.b64decode(rec["gains"]), "<f8").copy()
+    n = len(gains) // 2
+    unread = [rid != rec["forwarder"] for rid in range(n)]
+    gains[n:][unread] = value
+    return json.dumps({**rec, "gains": base64.b64encode(gains.astype("<f8").tobytes()).decode()})
 
 
 @pytest.mark.parametrize(
     "bad_line",
     [
         "not json",
-        '{"slot": 2, "g_ld": [1.0]}',
-        # gains that are not numbers (the default run has 5 relays)
-        '{"slot": 2, "g_sl": ["a", "a", "a", "a", "a"], "g_ld": [1, 1, 1, 1, 1]}',
-        '{"slot": 2, "g_sl": [null, null, null, null, null], "g_ld": [1, 1, 1, 1, 1]}',
-        # gains that no rule of the slot reads: all but the forwarder's g_ld
-        pytest.param(lambda rec: _unread_g_ld(rec, "a"), id="unread g_ld string"),
+        # one packed float, 1.0, where the default run has 10
+        '{"slot": 2, "gains": "AAAAAAAA8D8="}',
+        '{"slot": 2, "gains": null}',
+        '{"slot": 2, "gains": "not base64"}',
+        # a gain that no rule of the slot reads: any g_ld but the forwarder's
         pytest.param(lambda rec: _unread_g_ld(rec, math.nan), id="unread g_ld NaN"),
-        pytest.param(lambda rec: _unread_g_ld(rec, True), id="unread g_ld true"),
     ],
 )
 def test_replay_malformed_record_exits_1(tmp_path, capsys, bad_line):
-    # a format 1 trace: its records carry the gains
     trace = tmp_path / "t.jsonl"
-    shutil.copyfile(DATA / "trace_v1_srs_framed.jsonl", trace)
+    shutil.copyfile(DATA / "trace_v2_srs_framed.jsonl", trace)
     lines = trace.read_text().splitlines()
     if callable(bad_line):
         bad_line = bad_line(json.loads(lines[3]))

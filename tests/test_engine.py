@@ -580,12 +580,12 @@ def _write_trace(tmp_path, name="trace.jsonl", **kw):
     return path
 
 
-# format 1 traces, whose records carry their gains (see data/README.md)
-V1_MRS = "trace_v1_mrs.jsonl"  # the run of _write_trace()
-V1_SRS_FRAMED = "trace_v1_srs_framed.jsonl"
+# committed traces, drawn on one CPU (see data/README.md)
+V2_MRS = "trace_v2_mrs.jsonl"  # the run of _write_trace()
+V2_SRS_FRAMED = "trace_v2_srs_framed.jsonl"
 
 
-def _v1_trace(tmp_path, name=V1_MRS):
+def _fixture(tmp_path, name=V2_MRS):
     path = tmp_path / name
     shutil.copyfile(Path(__file__).parent / "data" / name, path)
     return path
@@ -598,7 +598,7 @@ def _edit_trace(path, edit):
 
 
 def _floats(packed):
-    """A format 2 record's packed batteries or gains as a list of floats."""
+    """A record's packed batteries or gains as a list of floats."""
     return np.frombuffer(base64.b64decode(packed), "<f8").tolist()
 
 
@@ -641,7 +641,7 @@ def test_replay_rejects_tampered_battery(tmp_path):
 
 
 def test_replay_rejects_tampered_gain(tmp_path):
-    path = _v1_trace(tmp_path)
+    path = _fixture(tmp_path)
     lines = path.read_text().splitlines()
     # tamper the source gain of an idle relay: its harvest credit, and so
     # its recorded battery, can no longer be reproduced
@@ -649,7 +649,9 @@ def test_replay_rejects_tampered_gain(tmp_path):
         rec = json.loads(line)
         idle = set(range(3)) - set(rec["designated"]) - {rec["forwarder"]}
         if idle:
-            rec["g_sl"][min(idle)] += 5.0
+            gains = _floats(rec["gains"])
+            gains[min(idle)] += 5.0  # g_sl comes first
+            rec["gains"] = _packed(gains)
             lines[i] = json.dumps(rec)
             break
     path.write_text("\n".join(lines) + "\n")
@@ -694,32 +696,35 @@ def test_replay_result_is_falsy_on_failure():
 
 
 def _unread(rec, prev, value):
-    """rec's g_ld with value in every entry no rule reads: an mrs forward
-    reads the g_ld of the previous slot's decoders only."""
-    return [g if rid in prev["decoded"] else value for rid, g in enumerate(rec["g_ld"])]
+    """rec's packed gains with value in every g_ld entry no rule reads: an
+    mrs forward reads the g_ld of the previous slot's decoders only."""
+    gains = _floats(rec["gains"])
+    n = len(gains) // 2
+    g_ld = [g if rid in prev["decoded"] else value for rid, g in enumerate(gains[n:])]
+    return _packed(gains[:n] + g_ld)
 
 
 @pytest.mark.parametrize(
     "edit",
     [
         lambda rec, prev: "not json",
-        lambda rec, prev: json.dumps({k: v for k, v in rec.items() if k != "g_sl"}),
-        lambda rec, prev: json.dumps({**rec, "g_ld": rec["g_ld"][:-1]}),
+        lambda rec, prev: json.dumps({k: v for k, v in rec.items() if k != "gains"}),
+        lambda rec, prev: json.dumps({**rec, "gains": _packed(_floats(rec["gains"])[:-1])}),
         lambda rec, prev: json.dumps([rec]),
-        lambda rec, prev: json.dumps({**rec, "g_sl": None}),
-        lambda rec, prev: json.dumps({**rec, "g_sl": ["a"] * len(rec["g_sl"])}),
-        lambda rec, prev: json.dumps({**rec, "g_sl": [None] * len(rec["g_sl"])}),
+        lambda rec, prev: json.dumps({**rec, "gains": None}),
+        lambda rec, prev: json.dumps({**rec, "gains": "?" * len(rec["gains"])}),
+        lambda rec, prev: json.dumps({**rec, "gains": _floats(rec["gains"])}),
         # gains that no rule of this slot reads
-        lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, "a")}),
-        lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, math.nan)}),
-        lambda rec, prev: json.dumps({**rec, "g_ld": _unread(rec, prev, True)}),
+        lambda rec, prev: json.dumps({**rec, "gains": _unread(rec, prev, math.inf)}),
+        lambda rec, prev: json.dumps({**rec, "gains": _unread(rec, prev, math.nan)}),
+        lambda rec, prev: json.dumps({**rec, "gains": _unread(rec, prev, -math.inf)}),
         # slots that == calls equal to 4
         lambda rec, prev: json.dumps({**rec, "slot": 4.0}),
         lambda rec, prev: json.dumps({**rec, "slot": True, "forwarder": None}),
     ],
 )
 def test_replay_reports_malformed_records(tmp_path, edit):
-    path = _v1_trace(tmp_path)
+    path = _fixture(tmp_path)
     lines = path.read_text().splitlines()
     lines[5] = edit(json.loads(lines[5]), json.loads(lines[4]))   # the record of slot 4
     path.write_text("\n".join(lines) + "\n")
@@ -752,33 +757,23 @@ def test_trace_records_pack_batteries_and_gains(tmp_path):
         assert _floats(rec["battery"]) == stepped["battery"]
 
 
-@pytest.mark.parametrize("name", [V1_MRS, V1_SRS_FRAMED])
-def test_replay_accepts_format_1_traces(tmp_path, name):
-    path = _v1_trace(tmp_path, name)
-    assert "format" not in json.loads(path.read_text().splitlines()[0])
-    assert replay_check(path).ok
-
-
 def _nudge_gain(line, key, ulps):
-    """line with the last g_sl or g_ld entry moved up by ulps, in either format."""
+    """line with the last g_sl or g_ld entry moved up by ulps."""
     rec = json.loads(line)
-    if "gains" in rec:
-        gains = _floats(rec["gains"])
-        i = len(gains) // 2 - 1 if key == "g_sl" else -1
-        gains[i] = _ulps_up(gains[i], ulps)
-        rec["gains"] = _packed(gains)
-    else:
-        rec[key][-1] = _ulps_up(rec[key][-1], ulps)
+    gains = _floats(rec["gains"])
+    i = len(gains) // 2 - 1 if key == "g_sl" else -1
+    gains[i] = _ulps_up(gains[i], ulps)
+    rec["gains"] = _packed(gains)
     return json.dumps(rec)
 
 
-@pytest.mark.parametrize("name", [V1_MRS, V1_SRS_FRAMED, None])
+@pytest.mark.parametrize("name", [V2_MRS, V2_SRS_FRAMED, None])
 @pytest.mark.parametrize("key", ["g_sl", "g_ld"])
 def test_replay_checks_the_gains_against_the_seed(tmp_path, name, key):
     """A recorded gain off the seed's draw by more than GAIN_ULPS diverges,
     read or not; 64 ulps stays off when the CPU that checks the trace
     rounds the draw differently from the one that wrote it."""
-    path = _v1_trace(tmp_path, name) if name else _write_trace(tmp_path)
+    path = _fixture(tmp_path, name) if name else _write_trace(tmp_path)
 
     def edit(lines):
         lines[8] = _nudge_gain(lines[8], key, 64)
@@ -805,10 +800,10 @@ def _draws_off_by(ulps):
     return mock.patch.object(engine, "draw_gain", draw)
 
 
-@pytest.mark.parametrize("name", [V1_MRS, V1_SRS_FRAMED, None])
+@pytest.mark.parametrize("name", [V2_MRS, V2_SRS_FRAMED, None])
 def test_replay_moves_between_cpus_that_round_the_draws_differently(tmp_path, name):
-    path = _v1_trace(tmp_path, name) if name else _write_trace(tmp_path)
-    # the format 1 traces come from another CPU already, maybe 1 ulp off
+    path = _fixture(tmp_path, name) if name else _write_trace(tmp_path)
+    # the committed traces may come from another CPU already, 1 ulp off
     with _draws_off_by(GAIN_ULPS - 1):
         assert replay_check(path).ok
     with _draws_off_by(GAIN_ULPS + 2):
@@ -867,17 +862,28 @@ def test_replay_rejects_a_slot_the_run_never_stepped(tmp_path):
     assert (result.divergent_slot, result.detail) == (10, "record past the end of the run")
 
 
-@pytest.mark.parametrize("value", [3, 0, True, 2.0, "2", None])
+_NO_FORMAT = object()
+
+
+@pytest.mark.parametrize(
+    "value", [3, 0, True, 2.0, "2", None, pytest.param(_NO_FORMAT, id="missing")]
+)
 def test_replay_refuses_an_unknown_trace_format(tmp_path, value):
+    """Only format 2 replays; a header without "format" is format 1's,
+    which held the floats as JSON numbers."""
     path = _write_trace(tmp_path)
 
     def edit(lines):
         header = json.loads(lines[0])
-        header["format"] = value
+        if value is _NO_FORMAT:
+            del header["format"]
+        else:
+            header["format"] = value
         lines[0] = json.dumps(header)
 
     _edit_trace(path, edit)
-    assert replay_check(path) == ReplayResult(False, None, f"unknown trace format {value!r}")
+    shown = 1 if value is _NO_FORMAT else value
+    assert replay_check(path) == ReplayResult(False, None, f"unknown trace format {shown!r}")
 
 
 @pytest.mark.parametrize(
@@ -1012,13 +1018,15 @@ def test_replay_parses_only_the_record_that_differs(tmp_path, reserialize):
 def test_replay_diverges_at_a_tampered_battery_after_a_reserialized_record(
     tmp_path, reserialize
 ):
+    """The tampered record is in other bytes too: whether it is parsed
+    before or after its step, its fields are compared."""
     path = _write_trace(tmp_path)
 
     def edit(lines):
         lines[30] = reserialize(lines[30])
         rec = json.loads(lines[40])
         rec["battery"] = _packed([b + 1.0 for b in _floats(rec["battery"])])
-        lines[40] = json.dumps(rec)
+        lines[40] = reserialize(json.dumps(rec))
 
     _edit_trace(path, edit)
     result = replay_check(path)
