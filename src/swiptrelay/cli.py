@@ -187,16 +187,17 @@ def _resolve_params(args: argparse.Namespace, command: str) -> dict:
     return params
 
 
-def _config_from_params(params: dict, first_m: int | None = None) -> SimConfig:
+def _config_from_params(params: dict, first_m: int | None = None, **first) -> SimConfig:
     """The base config; an mrs one without m takes first_m, the first M
-    the command runs (params keep m null, so the manifest still does)."""
+    the command runs, and first sets fields to a sweep's first grid point.
+    params keep their values, so the manifest still does."""
     n_slots = slots_for_messages(
         params["messages"], params["warmup"], params["schedule"]
     )
     fields = {p.field: params[p.key] for p in PARAMS if p.field}
     if fields["m"] is None and fields["policy"] == MRS:
         fields["m"] = first_m
-    return SimConfig(n_slots=n_slots, **fields)
+    return SimConfig(n_slots=n_slots, **{**fields, **first})
 
 
 def _row(config: SimConfig, estimate) -> dict:
@@ -282,7 +283,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args, "sweep")
-    base = _config_from_params(params, (params["ms"] or [None])[0])
+    # the base is the first grid point: no value that no point runs is checked
+    axes = {"n_relays": params["ns"], "eta": params["etas"], "target_rate": params["rates"],
+            "m": params["ms"] if params["policy"] == MRS else None}
+    base = _config_from_params(params, **{field: axis[0] for field, axis in axes.items() if axis})
     results = sweep(SweepSpec(
         base=base, rates=params["rates"], etas=params["etas"], n_relays=params["ns"],
         ms=params["ms"], messages=params["messages"], z=params["z"], crn=params["crn"],

@@ -42,14 +42,16 @@ Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
 _Trial (via run_trial) runs one config on a list of battery floats; it
 alone writes and replays traces and checks the per-slot energy ledger.
-What does not read a battery (each relay's harvest, decode flag, and
-arrival flag or inversion power and energy) it derives with numpy, one
-gain block at a time, in _Trial.slot_terms; step does the battery work,
-and mrs_final_select picks by those energies. run_batch runs K configs
-that share one gain field and differ only in m and target_rate in
-lockstep, both policies on one path: batteries and decoder sets are rows
-of (K, N) arrays, and every row equals run_trial's count for that config.
-The harness picks the engine by group size (harness.SCALAR_GROUP).
+What does not read a battery (per relay its harvest, decode and arrival
+flags, and forward power and energy: fixed for srs, the inversion's for
+mrs) it derives with numpy, one gain block at a time, in _Trial.slot_terms.
+step does the battery work, srs being the M = 1 case: one FORWARD debits
+srs's single pending decoder or mrs_final_select's pick, and succeeds if
+the forward arrives. run_batch runs K configs that share one gain field
+and differ only in m and target_rate in lockstep, on one path too:
+batteries and decoder sets are rows of (K, N) arrays, and every row
+equals run_trial's count. The harness picks the engine by group size
+(harness.SCALAR_GROUP).
 """
 
 from __future__ import annotations
@@ -369,25 +371,27 @@ class _Trial:
 
     def __init__(self, config: SimConfig):
         self.cfg = config
-        self.const = _constants(config)
-        self.battery = [self.const.initial_energy] * config.n_relays
+        self.const = k = _constants(config)
+        self.battery = [k.initial_energy] * config.n_relays
         self.pending: tuple[int, tuple[int, ...]] | None = None
         self.next_message = 0
         self.warmup = config.warmup_messages()
         self.tally = dict.fromkeys(Outcome, 0)
+        # slot_terms' constant rows: made per block, they cost a GC pass per block
+        rows = [[True]] if config.policy == MRS else [[k.tx_power], [k.fixed_cost]]
+        self.same_rows = [itertools.repeat(row * config.n_relays) for row in rows]
 
     def slot_terms(self, gains: np.ndarray) -> list[tuple]:
         """Each slot's terms that read no battery, from gains, rows of g_sl
         then g_ld, in run_batch's operation order: per relay its harvest if
-        idle (0 below the sense threshold), whether it decodes, and whether
-        its fixed-power forward arrives (srs) or its inversion power and
-        energy (mrs)."""
+        idle (0 below the sense threshold), whether it decodes, whether its
+        forward arrives (for srs, iff g_ld reaches forward_min; always for
+        mrs), and its forward's power and energy (fixed, or the inversion's)."""
         cfg, k, n = self.cfg, self.const, self.cfg.n_relays
         g_sl, g_ld = gains[:, :n], gains[:, n:]
         harvest = k.harvest_scale * g_sl * cfg.slot_duration / k.path_loss
         harvest[harvest < cfg.sense_threshold] = 0.0
         terms = [harvest.tolist(), (g_sl >= k.decode_min).tolist()]
-        none = itertools.repeat(None)  # the other policy's terms
         if cfg.policy == MRS:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 power = k.numerator / g_ld
@@ -398,9 +402,9 @@ class _Trial:
                 zero_gain = g_ld == 0
                 power[zero_gain] = energy[zero_gain] = 0.0 if cfg.target_rate == 0 else math.inf
             # step reads one power a slot, the forwarder's: rows stay numpy
-            terms += [none, power, energy.tolist()]
+            terms += [*self.same_rows, power, energy.tolist()]
         else:
-            terms += [(g_ld >= k.forward_min).tolist(), none, none]
+            terms += [(g_ld >= k.forward_min).tolist(), *self.same_rows]
         return list(zip(*terms))
 
     def step(self, slot, terms, check=False):
@@ -429,25 +433,18 @@ class _Trial:
         if do_forward and self.pending is not None:
             msg, lam = self.pending
             self.pending = None
-            if not mrs:
-                forwarder, tx_power, cost = lam[0], k.tx_power, k.fixed_cost
-                ok = arrives[forwarder]
-                resolved.append((msg, Outcome.SUCCESS if ok else Outcome.DECODE_FAIL))
-            elif not lam:
-                resolved.append((msg, Outcome.NO_DECODER))
+            # srs keeps its single decoder pending, which could pay at designation
+            forwarder = mrs_final_select(lam, battery, energy) if mrs else lam[0]
+            if forwarder is None:
+                resolved.append((msg, Outcome.NO_FEASIBLE_POWER if lam else Outcome.NO_DECODER))
             else:
-                forwarder = mrs_final_select(lam, battery, energy)
-                if forwarder is None:
-                    resolved.append((msg, Outcome.NO_FEASIBLE_POWER))
-                else:
-                    tx_power, cost = float(power[forwarder]), energy[forwarder]
-                    # inversion power meets the rate by construction
-                    resolved.append((msg, Outcome.SUCCESS))
-            if forwarder is not None:
+                tx_power, cost = float(power[forwarder]), energy[forwarder]
                 if battery[forwarder] < cost:
                     raise InvariantError(f"slot {slot}: forwarder {forwarder} cannot pay {cost} J")
                 battery[forwarder] -= cost
                 debited = cost
+                ok = arrives[forwarder]
+                resolved.append((msg, Outcome.SUCCESS if ok else Outcome.DECODE_FAIL))
 
         # 2. DESIGNATE + 3. BROADCAST
         if do_broadcast:
@@ -457,10 +454,7 @@ class _Trial:
                 designated = mrs_preselect(battery, cfg.m, (forwarder,))
             else:
                 pick = srs_select(battery, k.fixed_cost, (forwarder,))
-                if pick is None:
-                    resolved.append((msg, Outcome.NO_CANDIDATE))
-                else:
-                    designated = [pick]
+                designated = [] if pick is None else [pick]
             decoded = [rid for rid in designated if decodes[rid]]
             # idle relays harvest; listeners and the forwarder do not
             busy = {forwarder, *designated}
@@ -470,9 +464,8 @@ class _Trial:
                     harvested += amount
             if mrs or decoded:
                 self.pending = (msg, tuple(decoded))
-            elif designated:
-                # relay could not decode; no transmission, no energy spent
-                resolved.append((msg, Outcome.DECODE_FAIL))
+            else:  # srs: its listener did not decode, or no relay could pay
+                resolved.append((msg, Outcome.DECODE_FAIL if designated else Outcome.NO_CANDIDATE))
 
         for msg, result in resolved:
             if msg >= self.warmup:

@@ -1,8 +1,9 @@
 """References the engines never evaluate, kept as test oracles: textbook
 link formulas (the engines compare gains with thresholds instead of taking
 logs), a slot's battery-free terms derived one relay at a time in plain
-Python, and a slot's trace record as a dict, which json.dumps turns into
-the bytes run_trial's line template must write.
+Python, the renewal-reward outage of one srs relay whose battery binds,
+and a slot's trace record as a dict, which json.dumps turns into the bytes
+run_trial's line template must write.
 """
 
 import math
@@ -41,8 +42,10 @@ def inversion_power(
 
 def slot_terms(config, g_sl, g_ld) -> tuple:
     """One slot's (harvest, decodes, arrives, power, energy), as
-    _Trial.slot_terms gives them for a row of gains, with None for the
-    other policy's terms; each relay's term is a float or bool of its own."""
+    _Trial.slot_terms gives them for a row of gains; each relay's term is a
+    float or bool of its own. srs pays the fixed power and cost, and its
+    forward arrives iff the fixed-power link meets the rate; mrs pays the
+    inversion power and energy, and its forward always arrives."""
     source_power = dbw_to_watts(config.source_power_dbw)
     numerator = inversion_numerator(config.target_rate, config.noise_var, config.distance)
     harvest = []
@@ -52,11 +55,44 @@ def slot_terms(config, g_sl, g_ld) -> tuple:
         harvest.append(0.0 if amount < config.sense_threshold else amount)
     decodes = [gain >= numerator / source_power for gain in g_sl]
     if config.policy == "srs":
-        forward_min = numerator / dbw_to_watts(config.relay_power_dbw)
-        return harvest, decodes, [gain >= forward_min for gain in g_ld], None, None
+        relay_power = dbw_to_watts(config.relay_power_dbw)
+        arrives = [gain >= numerator / relay_power for gain in g_ld]
+        power = [relay_power for _ in g_ld]
+        return harvest, decodes, arrives, power, [p * config.slot_duration for p in power]
     power = [inversion_power(config.target_rate, gain, config.noise_var, config.distance)
              for gain in g_ld]
-    return harvest, decodes, None, power, [p * config.slot_duration for p in power]
+    return harvest, decodes, [True for _ in g_ld], power, [p * config.slot_duration for p in power]
+
+
+def srs_single_relay_framed(config) -> tuple[float, float]:
+    """Outage probability and NO_CANDIDATE share of srs with one relay on
+    the framed schedule at sense threshold 0, where the battery binds.
+
+    Write c for the fixed cost and s for the mean harvest of an idle
+    broadcast slot; a = e^{-c/s}. Below c every message is NO_CANDIDATE and
+    the relay harvests an Exp(mean s) amount, so it crosses c by an
+    overshoot Y that is again Exp(mean s). From c + Y it forwards
+    K = floor(1 + Y/c) times, E[K] = 1/(1 - a), each after a geometric
+    number of broadcasts (decode probability p_d), and keeps Y mod c, whose
+    mean is s - c a/(1 - a) whatever came before: the cycles after the first
+    are i.i.d. A cycle then holds E[H] = 1 + (c - E[Y mod c])/s
+    NO_CANDIDATE messages, and by renewal-reward (Ross, Stochastic
+    Processes, ch. 3) the outage is 1 - q E[K]/(E[H] + E[K]/p_d), with q the
+    chance that a fixed-power forward arrives, and the NO_CANDIDATE share is
+    E[H]/(E[H] + E[K]/p_d)."""
+    source_power = dbw_to_watts(config.source_power_dbw)
+    relay_power = dbw_to_watts(config.relay_power_dbw)
+    numerator = inversion_numerator(config.target_rate, config.noise_var, config.distance)
+    cost = relay_power * config.slot_duration
+    harvest = (config.eta * source_power * config.slot_duration
+               / config.distance**PATH_LOSS_EXP)
+    p_d, q = math.exp(-numerator / source_power), math.exp(-numerator / relay_power)
+    a = math.exp(-cost / harvest)
+    forwards = 1.0 / (1.0 - a)
+    remainder = harvest - cost * a / (1.0 - a)
+    short = 1.0 + (cost - remainder) / harvest
+    cycle = short + forwards / p_d
+    return 1.0 - q * forwards / cycle, short / cycle
 
 
 def record(slot: int, fields: tuple, battery) -> dict:

@@ -17,9 +17,9 @@ import time
 from dataclasses import replace
 from typing import NamedTuple
 
-from oracles import inversion_power
+from oracles import inversion_power, srs_single_relay_framed
 from swiptrelay.cli import main
-from swiptrelay.engine import SimConfig, replay_check, run_trial
+from swiptrelay.engine import Outcome, SimConfig, replay_check, run_trial, slots_for_messages
 from swiptrelay.harness import (
     SweepSpec,
     compare_policies,
@@ -81,6 +81,28 @@ def test_2_mrs_closed_form_oracle():
         details.append(f"M={m}: |{est.p_hat:.5f}-{MRS_TRUTH[m]:.5f}|"
                        f"<={MRS_TOL[m]:.5f} ({elapsed:.2f}s)")
     verdict("mrs closed-form oracle", ok, "; ".join(details))
+
+
+def test_2b_srs_renewal_oracle_where_energy_binds():
+    """One srs relay on the framed schedule with a finite battery: outage and
+    the NO_CANDIDATE share match the renewal-reward oracle within 3 SE."""
+    messages, warmup = 100000, 4000  # the warmup forgets the initial battery
+    details = []
+    ok = True
+    for eta in (0.1, 0.5, 1.0):
+        cfg = SimConfig(n_relays=1, policy="srs", schedule="framed", eta=eta, seed=11,
+                        warmup_slots=warmup,
+                        n_slots=slots_for_messages(messages, warmup, "framed"))
+        tally = run_trial(cfg)
+        ok = ok and sum(tally.values()) == messages
+        truths = srs_single_relay_framed(cfg)
+        shares = (1.0 - tally[Outcome.SUCCESS] / messages,
+                  tally[Outcome.NO_CANDIDATE] / messages)
+        for name, share, truth in zip(("p_out", "no_candidate"), shares, truths):
+            tol = 3.0 * math.sqrt(truth * (1.0 - truth) / messages)
+            ok = ok and abs(share - truth) <= tol
+            details.append(f"eta={eta} {name}: |{share:.5f}-{truth:.5f}|<={tol:.5f}")
+    verdict("srs renewal-reward oracle, energy binding", ok, "; ".join(details))
 
 
 def test_3_outage_trends_vs_rate_eta_n():

@@ -501,6 +501,43 @@ def test_mrs_table_commands_run_without_m(tmp_path, argv):
     assert out.read_bytes() == again.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, valid",
+    [
+        (("--policy", "mrs", "--ns", "10", "--ms", "7"), ("--n", "10")),
+        (("--eta", "2", "--etas", "0.1,0.5"), ("--eta", "0.1")),
+        (("--rate", "600", "--rates", "1,2"), ("--rate", "1")),
+    ],
+    ids=["ns", "etas", "rates"],
+)
+def test_sweep_base_config_is_its_first_grid_point(tmp_path, argv, valid):
+    """A sweep checks no base value that its axes replace: the table equals
+    the one with valid base flags, and the manifest, which keeps the flags
+    as given, reproduces it."""
+    out, ref, again = (tmp_path / f"{name}.csv" for name in ("out", "ref", "again"))
+    assert run_cli("sweep", *argv, "--messages", "60", "--out", str(out)) == 0
+    assert run_cli("sweep", *argv, *valid, "--messages", "60", "--out", str(ref)) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    sidecar = tmp_path / "out.csv.manifest.json"
+    assert run_cli("sweep", "--config", str(sidecar), "--out", str(again)) == 0
+    assert out.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--policy", "mrs", "--ns", "3,10", "--ms", "7"), "m must be an integer"),
+        (("--policy", "srs", "--ms", "1,2"), "ms axis requires policy 'mrs'"),
+    ],
+    ids=["m-above-a-grid-n", "ms-without-mrs"],
+)
+def test_sweep_refuses_a_grid_point_that_cannot_run(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    assert run_cli("sweep", *argv, "--messages", "60", "--out", str(out)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_opt_m_reports_m_star(tmp_path, capsys):
     out = tmp_path / "o.json"
     rc = run_cli("opt-m", "--n", "4", "--eta", "0.1", "--messages", "300",

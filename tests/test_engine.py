@@ -1257,7 +1257,7 @@ def test_slot_terms_equal_the_pure_python_reference(kw):
     max_harvest = oracles.slot_terms(cfg, [MAX_GAIN], [MAX_GAIN])[0][0]
     for config in (cfg, replace(cfg, sense_threshold=max_harvest)):
         # the mrs power of a slot stays a numpy row; tolist keeps its bits
-        got = [(h, d, a, p if p is None else p.tolist(), e)
+        got = [(h, d, a, np.asarray(p).tolist(), e)
                for h, d, a, p, e in _Trial(config).slot_terms(gains)]
         want = [oracles.slot_terms(config, row[:4], row[4:]) for row in gains.tolist()]
         # repr also tells the float and bool types and -0.0 apart
