@@ -187,16 +187,14 @@ def _resolve_params(args: argparse.Namespace, command: str) -> dict:
     return params
 
 
-def _config_from_params(params: dict, first_m: int | None = None, **first) -> SimConfig:
-    """The base config; an mrs one without m takes first_m, the first M
-    the command runs, and first sets fields to a sweep's first grid point.
-    params keep their values, so the manifest still does."""
+def _config_from_params(params: dict, **first) -> SimConfig:
+    """The base config; first sets fields to the command's first grid
+    point, so no value that no point runs is checked. params keep their
+    values, so the manifest still does."""
     n_slots = slots_for_messages(
         params["messages"], params["warmup"], params["schedule"]
     )
     fields = {p.field: params[p.key] for p in PARAMS if p.field}
-    if fields["m"] is None and fields["policy"] == MRS:
-        fields["m"] = first_m
     return SimConfig(n_slots=n_slots, **{**fields, **first})
 
 
@@ -283,7 +281,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     params = _resolve_params(args, "sweep")
-    # the base is the first grid point: no value that no point runs is checked
     axes = {"n_relays": params["ns"], "eta": params["etas"], "target_rate": params["rates"],
             "m": params["ms"] if params["policy"] == MRS else None}
     base = _config_from_params(params, **{field: axis[0] for field, axis in axes.items() if axis})
@@ -300,7 +297,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_opt_m(args) -> int:
     params = _resolve_params(args, "opt-m")
-    base = _config_from_params(params, (params["ms"] or [1])[0])
+    base = _config_from_params(params, policy=MRS, m=(params["ms"] or [1])[0])
     star = optimize_m(base, m_values=params["ms"], messages=params["messages"],
                       z=params["z"], workers=params["workers"])
     rows = [_row(r.config, r.estimate) for r in star.results]
@@ -317,7 +314,7 @@ def _cmd_opt_m(args) -> int:
 
 def _cmd_compare(args) -> int:
     params = _resolve_params(args, "compare")
-    base = _config_from_params(params, 1)  # its mrs grid runs M = 1..n
+    base = _config_from_params(params, policy=MRS, m=1)  # its mrs grid runs M = 1..n
     report = compare_policies(base, rates=params["rates"], n_points=params["n_points"],
                               messages=params["messages"], z=params["z"],
                               workers=params["workers"])

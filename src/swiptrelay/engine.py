@@ -40,18 +40,19 @@ bytes differ, field by field (see its docstring).
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
-_Trial (via run_trial) runs one config on a list of battery floats; it
+Both take what does not read a battery from _harvest and _link_terms:
+per relay its harvest if idle, whether it decodes, and whether its srs
+forward arrives or its mrs forward's inversion power, the zero-gain rule
+included. _Trial (via run_trial) runs one config on battery floats; it
 alone writes and replays traces and checks the per-slot energy ledger.
-What does not read a battery (per relay its harvest, decode and arrival
-flags, and forward power and energy: fixed for srs, the inversion's for
-mrs) it derives with numpy, one gain block at a time, in _Trial.slot_terms.
-step does the battery work, srs being the M = 1 case: one FORWARD debits
-srs's single pending decoder or mrs_final_select's pick, and succeeds if
-the forward arrives. run_batch runs K configs that share one gain field
-and differ only in m and target_rate in lockstep, on one path too:
-batteries and decoder sets are rows of (K, N) arrays, and every row
-equals run_trial's count. The harness picks the engine by group size
-(harness.SCALAR_GROUP).
+Its slot_terms derives a gain block at a time; step does the battery
+work, srs being the M = 1 case: one FORWARD debits srs's single pending
+decoder or mrs_final_select's pick, and succeeds if the forward arrives.
+run_batch runs K configs that share one gain field and differ only in
+BATCH_AXES (m and target_rate) in lockstep, on one path too: constants
+are (K, 1) columns, batteries and decoder sets rows of (K, N) arrays, and
+every row equals run_trial's count. The harness picks the engine by
+group size (harness.SCALAR_GROUP).
 """
 
 from __future__ import annotations
@@ -222,11 +223,11 @@ class SimConfig:
             )
         # finite factors can still multiply out to inf
         k = _constants(self)
-        for name, value in k._asdict().items():
+        for name, keys in _CONSTANT_KEYS.items():
+            value = getattr(k, name)
             if not math.isfinite(value):
                 raise ConfigError(
-                    f"{_CONSTANT_KEYS[name]} out of range: together they make "
-                    f"{name} overflow to {value}"
+                    f"{keys} out of range: together they make {name} overflow to {value}"
                 )
         # the most a battery can hold: every slot harvests the largest gain
         peak = k.initial_energy + (
@@ -287,9 +288,10 @@ class _Constants(NamedTuple):
     harvest_scale: float   # a harvest is harvest_scale * g * slot_duration / path_loss
     path_loss: float
     initial_energy: float  # joules per relay
+    zero_gain_power: float  # an inversion over g_ld = 0: 0 at rate 0, else inf
 
 
-# the keys each constant derives from, for validate's messages
+# the keys each finite constant derives from, for validate's messages
 _CONSTANT_KEYS = {
     "numerator": "target_rate, noise_var and distance",
     "decode_min": "target_rate, noise_var, distance and source_power_dbw",
@@ -319,7 +321,29 @@ def _constants(config: SimConfig) -> _Constants:
         initial_energy=(
             10.0 * fixed_cost if config.initial_energy is None else config.initial_energy
         ),
+        zero_gain_power=0.0 if config.target_rate == 0 else math.inf,
     )
+
+
+def _harvest(config: SimConfig, k: _Constants, g_sl: np.ndarray) -> np.ndarray:
+    """Each relay's harvest from its g_sl if idle, 0 below the sense threshold."""
+    harvest = k.harvest_scale * g_sl * config.slot_duration / k.path_loss
+    harvest[harvest < config.sense_threshold] = 0.0
+    return harvest
+
+
+def _link_terms(config: SimConfig, k: _Constants, g_sl, g_ld) -> tuple:
+    """Whether each listener decodes, and whether its srs forward arrives or
+    its mrs forward's inversion power; k holds floats or (K, 1) columns."""
+    decodes = g_sl >= k.decode_min
+    if config.policy == SRS:
+        return decodes, g_ld >= k.forward_min
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        power = k.numerator / g_ld
+    # 0 / 0 is nan, which would win a margin's argmax: the numerator is 0
+    # at rate 0 and where it underflows (numerator / 0 is inf already)
+    np.copyto(power, k.zero_gain_power, where=g_ld == 0)
+    return decodes, power
 
 
 def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
@@ -383,28 +407,20 @@ class _Trial:
 
     def slot_terms(self, gains: np.ndarray) -> list[tuple]:
         """Each slot's terms that read no battery, from gains, rows of g_sl
-        then g_ld, in run_batch's operation order: per relay its harvest if
-        idle (0 below the sense threshold), whether it decodes, whether its
-        forward arrives (for srs, iff g_ld reaches forward_min; always for
-        mrs), and its forward's power and energy (fixed, or the inversion's)."""
+        then g_ld, as run_batch derives them (_harvest, _link_terms): per
+        relay its harvest if idle, whether it decodes, whether its forward
+        arrives (always for mrs), and its forward's power and energy (fixed
+        for srs, the inversion's for mrs)."""
         cfg, k, n = self.cfg, self.const, self.cfg.n_relays
-        g_sl, g_ld = gains[:, :n], gains[:, n:]
-        harvest = k.harvest_scale * g_sl * cfg.slot_duration / k.path_loss
-        harvest[harvest < cfg.sense_threshold] = 0.0
-        terms = [harvest.tolist(), (g_sl >= k.decode_min).tolist()]
+        decodes, link = _link_terms(cfg, k, gains[:, :n], gains[:, n:])
+        terms = [_harvest(cfg, k, gains[:, :n]).tolist(), decodes.tolist()]
         if cfg.policy == MRS:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                power = k.numerator / g_ld
-                energy = power * cfg.slot_duration
-            # a zero gain costs nothing at rate 0, else inf; numerator / 0
-            # is inf, but 0 / 0 is nan, and the numerator underflows to 0
-            if k.numerator == 0:
-                zero_gain = g_ld == 0
-                power[zero_gain] = energy[zero_gain] = 0.0 if cfg.target_rate == 0 else math.inf
+            with np.errstate(over="ignore"):  # a finite power may cost inf joules
+                energy = link * cfg.slot_duration
             # step reads one power a slot, the forwarder's: rows stay numpy
-            terms += [*self.same_rows, power, energy.tolist()]
+            terms += [*self.same_rows, link, energy.tolist()]
         else:
-            terms += [(g_ld >= k.forward_min).tolist(), *self.same_rows]
+            terms += [link.tolist(), *self.same_rows]
         return list(zip(*terms))
 
     def step(self, slot, terms, check=False):
@@ -561,7 +577,7 @@ def run_trial(
     return trial.tally
 
 
-_BATCH_AXES = ("m", "target_rate")
+BATCH_AXES = ("m", "target_rate")
 _OUTCOMES = tuple(Outcome)
 # int8, so that codes built from them stay int8
 _SUCCESS, _NO_CANDIDATE, _DECODE_FAIL, _NO_DECODER, _NO_FEASIBLE = map(
@@ -574,7 +590,7 @@ def batch_key(config: SimConfig) -> tuple:
     """Every field but m and target_rate: configs with equal keys share a
     gain field and can run in one run_batch."""
     return tuple(
-        getattr(config, f.name) for f in fields(config) if f.name not in _BATCH_AXES
+        getattr(config, f.name) for f in fields(config) if f.name not in BATCH_AXES
     )
 
 
@@ -582,12 +598,12 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     """Simulate configs that differ only in m and target_rate, in lockstep.
 
     Returns, per config, the count of each Outcome over its post-warmup
-    messages: exactly run_trial(config). Per-config constants are _Trial's
-    Python floats, and ties break toward the lowest relay id as in the
-    policies module.
+    messages: exactly run_trial(config): its slot terms come from _Trial's
+    _harvest and _link_terms, on _Trial's constants as (K, 1) columns, and
+    ties break toward the lowest relay id as in the policies module.
 
     What does not read the batteries (inversion costs, decode and arrival
-    masks) is computed for CHUNK slots at a time; each slot then makes one
+    masks) is derived for CHUNK slots at a time; each slot then makes one
     numpy call per battery-dependent step. Outcomes are kept as per-message
     flags and turned into codes once per gain block.
     """
@@ -603,17 +619,9 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     pipelined = first.schedule == PIPELINED
     n_slots = first.n_slots
     rows = [_constants(c) for c in configs]
-    decode_min = np.array([[row.decode_min] for row in rows])
-    forward_min = np.array([[row.forward_min] for row in rows])
-    numerator = np.array([[row.numerator] for row in rows])
-    # what a zero gain costs, as in mrs_final_select: nothing at rate 0, else
-    # inf. numerator / 0 is inf, but 0 / 0 is nan, which would win argmax;
-    # the numerator is 0 at rate 0 and where it underflows
-    zero_gain_cost = np.array([[0.0 if c.target_rate == 0 else np.inf] for c in configs])
-    any_zero_numerator = bool(_any(numerator == 0, None))
+    columns = _Constants(*np.array(rows).T[:, :, None])  # each a (K, 1) column
     shared = rows[0]
     fixed_cost = shared.fixed_cost
-    slot_duration = first.slot_duration
     # the relay at rank r of a row's order listens iff r < m
     top = np.arange(n) < np.array([[c.m if mrs else 1] for c in configs])
     if mrs:
@@ -647,75 +655,70 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     code_base = np.arange(0, counts.size, len(_OUTCOMES))
     warmup = first.warmup_messages()
     message = held = slot = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for gains in _gain_draws(first):
-            harvest = shared.harvest_scale * gains[:, :n] * slot_duration / shared.path_loss
-            harvest[harvest < first.sense_threshold] = 0.0
-            g_sl, g_ld = gains[:, None, :n], gains[:, None, n:]  # slot, row, relay
-            for b in range(len(gains)):
-                if slot >= n_slots and not pending:
-                    break
-                j = b % CHUNK
-                if j == 0:
-                    chunk = slice(b, b + CHUNK)
-                    decodes = g_sl[chunk] >= decode_min
-                    if mrs:
-                        costs = numerator / g_ld[chunk]
-                        if any_zero_numerator:
-                            np.copyto(costs, zero_gain_cost, where=g_ld[chunk] == 0)
-                        costs *= slot_duration
-                    else:
-                        arrives = g_ld[chunk] >= forward_min
-                available = free
-                # 1. FORWARD
-                if pending and (pipelined or slot % 2 == 1 or slot >= n_slots):
-                    row = message - 1 - held
-                    spare = battery - costs[j]
-                    margin = np.where(decoders, spare, minus_inf)
-                    payer = offsets + margin.argmax(1)
-                    # the best decoder pays iff its margin is >= 0, so no payer
-                    # overdraws; a message without decoders is not forwarded
-                    pays = np.greater_equal(margin.take(payer), 0.0, out=succeeded[row])
-                    spent.fill(False)
-                    spent_cells[payer] = pays
-                    np.putmask(battery, spent, spare)
-                    available = ~spent
-                    if not mrs:  # a fixed-power forward must also arrive
-                        pays &= arrives[j].take(payer)
-                    unresolved[row] = False
-                    pending = False
-                # 2. DESIGNATE + 3. BROADCAST
-                if slot < n_slots and (pipelined or slot % 2 == 0):
-                    row = message - held
-                    # stable: equal batteries rank by relay id
-                    rank = np.where(available, -battery, plus_inf)
-                    listening_cells[rank.argsort(1, kind="stable") + row_cells] = top
-                    listening &= available
-                    if not mrs:  # a listener must afford its forward
-                        listening &= battery >= fixed_cost
-                    decoders = listening & decodes[j]  # read by the next FORWARD
-                    _any(decoders if mrs else listening, 1, out=tried[row])
-                    unresolved[row] = True
-                    pending = True
-                    # idle relays harvest; listeners and the forwarder do not
-                    idle = available ^ listening
-                    # a busy relay adds harvest * False, +0.0: its battery stays
-                    battery += harvest[b] * idle
-                    message += 1
-                slot += 1
-            # tally the resolved messages; a pending one moves to row 0
-            last = message - 1 if pending else message
-            counted = slice(max(warmup - held, 0), last - held)
-            if _any(unresolved[counted], None):
-                raise InvariantError("a message was left without an outcome")
-            codes = np.full(succeeded[counted].shape, untried_fail, np.int8)
-            np.copyto(codes, tried_fail, where=tried[counted])
-            np.copyto(codes, _SUCCESS, where=succeeded[counted])
-            counts += np.bincount((codes + code_base).ravel(), minlength=counts.size).reshape(k, -1)
-            for flags in (succeeded, tried, unresolved):
-                flags[0] = flags[last - held] if pending else False
-                flags[1:] = False
-            held = last
+    for gains in _gain_draws(first):
+        harvest = _harvest(first, shared, gains[:, :n])
+        g_sl, g_ld = gains[:, None, :n], gains[:, None, n:]  # slot, row, relay
+        for b in range(len(gains)):
+            if slot >= n_slots and not pending:
+                break
+            j = b % CHUNK
+            if j == 0:
+                chunk = slice(b, b + CHUNK)
+                decodes, link = _link_terms(first, columns, g_sl[chunk], g_ld[chunk])
+                if mrs:
+                    costs = link * first.slot_duration
+                else:
+                    arrives = link
+            available = free
+            # 1. FORWARD
+            if pending and (pipelined or slot % 2 == 1 or slot >= n_slots):
+                row = message - 1 - held
+                spare = battery - costs[j]
+                margin = np.where(decoders, spare, minus_inf)
+                payer = offsets + margin.argmax(1)
+                # the best decoder pays iff its margin is >= 0, so no payer
+                # overdraws; a message without decoders is not forwarded
+                pays = np.greater_equal(margin.take(payer), 0.0, out=succeeded[row])
+                spent.fill(False)
+                spent_cells[payer] = pays
+                np.putmask(battery, spent, spare)
+                available = ~spent
+                if not mrs:  # a fixed-power forward must also arrive
+                    pays &= arrives[j].take(payer)
+                unresolved[row] = False
+                pending = False
+            # 2. DESIGNATE + 3. BROADCAST
+            if slot < n_slots and (pipelined or slot % 2 == 0):
+                row = message - held
+                # stable: equal batteries rank by relay id
+                rank = np.where(available, -battery, plus_inf)
+                listening_cells[rank.argsort(1, kind="stable") + row_cells] = top
+                listening &= available
+                if not mrs:  # a listener must afford its forward
+                    listening &= battery >= fixed_cost
+                decoders = listening & decodes[j]  # read by the next FORWARD
+                _any(decoders if mrs else listening, 1, out=tried[row])
+                unresolved[row] = True
+                pending = True
+                # idle relays harvest; listeners and the forwarder do not
+                idle = available ^ listening
+                # a busy relay adds harvest * False, +0.0: its battery stays
+                battery += harvest[b] * idle
+                message += 1
+            slot += 1
+        # tally the resolved messages; a pending one moves to row 0
+        last = message - 1 if pending else message
+        counted = slice(max(warmup - held, 0), last - held)
+        if _any(unresolved[counted], None):
+            raise InvariantError("a message was left without an outcome")
+        codes = np.full(succeeded[counted].shape, untried_fail, np.int8)
+        np.copyto(codes, tried_fail, where=tried[counted])
+        np.copyto(codes, _SUCCESS, where=succeeded[counted])
+        counts += np.bincount((codes + code_base).ravel(), minlength=counts.size).reshape(k, -1)
+        for flags in (succeeded, tried, unresolved):
+            flags[0] = flags[last - held] if pending else False
+            flags[1:] = False
+        held = last
     return [dict(zip(_OUTCOMES, row)) for row in counts.tolist()]
 
 

@@ -2,10 +2,10 @@
 
 Sweeps derive one child seed per grid point from the base seed, so results
 do not depend on evaluation order or worker count. With crn=True (the
-default) the derived seed ignores the rate and pre-selection-size axes:
-every point along those axes then sees the identical channel-gain field,
-which turns curve comparisons into paired ones and makes the expected
-monotonic trends hold sharply at finite sample sizes.
+default) the derived seed ignores the axes of engine.BATCH_AXES, rate and
+pre-selection size: every point along those axes then sees the identical
+channel-gain field, which turns curve comparisons into paired ones and
+makes the expected monotonic trends hold sharply at finite sample sizes.
 
 A sweep runs as one job per gain field: the grid points that differ only
 in rate and pre-selection size. A job of up to SCALAR_GROUP[policy] points
@@ -23,6 +23,7 @@ arrive validated: a SimConfig is checked when it is constructed.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -33,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from swiptrelay.engine import (
+    BATCH_AXES,
     MRS,
     SRS,
     Outcome,
@@ -122,6 +124,10 @@ class SweepResult:
     estimate: OutageEstimate
 
 
+# the grid's axes in grid order: each SweepSpec name and the field it sets
+_GRID_AXES = (("n_relays", "n_relays"), ("etas", "eta"), ("ms", "m"), ("rates", "target_rate"))
+
+
 def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
     base = spec.base
     _check_z(spec.z)
@@ -129,30 +135,21 @@ def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
         raise ConfigError(f"workers must be a positive integer, got {spec.workers}")
     if spec.ms is not None and base.policy != MRS:
         raise ConfigError("ms axis requires policy 'mrs'")
-    rates = list(spec.rates) if spec.rates is not None else [base.target_rate]
-    etas = list(spec.etas) if spec.etas is not None else [base.eta]
-    ns = list(spec.n_relays) if spec.n_relays is not None else [base.n_relays]
-    ms = list(spec.ms) if spec.ms is not None else [base.m]
-    for name, axis in (("rates", rates), ("etas", etas), ("n_relays", ns), ("ms", ms)):
-        if not axis:
+    axes = []
+    for name, field in _GRID_AXES:
+        values = getattr(spec, name)
+        axes.append([getattr(base, field)] if values is None else list(values))
+        if not axes[-1]:
             raise ConfigError(f"{name} must be non-empty")
     n_slots = slots_for_messages(spec.messages, base.warmup_slots, base.schedule)
+    # a seed key indexes every axis but, under crn, those sharing a gain field
+    keyed = [not (spec.crn and field in BATCH_AXES) for _, field in _GRID_AXES]
     configs = []
-    for i_n, n in enumerate(ns):
-        for i_eta, eta in enumerate(etas):
-            for i_m, m in enumerate(ms):
-                for i_rate, rate in enumerate(rates):
-                    key = (i_n, i_eta) if spec.crn else (i_n, i_eta, i_m, i_rate)
-                    cfg = replace(
-                        base,
-                        n_relays=n,
-                        eta=eta,
-                        m=m,
-                        target_rate=rate,
-                        n_slots=n_slots,
-                        seed=derive_seed(base.seed, key),
-                    )
-                    configs.append(cfg)
+    for point in itertools.product(*map(enumerate, axes)):
+        key = [i for (i, _), use in zip(point, keyed) if use]
+        values = {field: value for (_, field), (_, value) in zip(_GRID_AXES, point)}
+        configs.append(replace(base, **values, n_slots=n_slots,
+                               seed=derive_seed(base.seed, key)))
     return configs
 
 

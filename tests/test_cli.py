@@ -538,6 +538,36 @@ def test_sweep_refuses_a_grid_point_that_cannot_run(tmp_path, capsys, argv, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("opt-m", "--n", "5"), ("--policy", "mrs", "--m", "9")),
+        (("opt-m", "--n", "5"), ("--policy", "srs", "--m", "2")),
+        (("compare", "--n", "5"), ("--m", "9")),
+    ],
+    ids=["opt-m-mrs-m-above-n", "opt-m-srs-with-m", "compare-m-above-n"],
+)
+def test_opt_m_and_compare_base_config_is_their_first_grid_point(tmp_path, argv, flags):
+    """opt-m and compare run mrs at each M they search, so they check no
+    --policy or --m: the table equals the one without those flags, and the
+    manifest, which keeps the flags as given, reproduces it."""
+    out, ref, again = (tmp_path / f"{name}.csv" for name in ("out", "ref", "again"))
+    assert run_cli(*argv, *flags, "--messages", "60", "--out", str(out)) == 0
+    assert run_cli(*argv, "--messages", "60", "--out", str(ref)) == 0
+    assert out.read_bytes() == ref.read_bytes()
+    sidecar = tmp_path / "out.csv.manifest.json"
+    assert json.loads(sidecar.read_text())["params"]["m"] == int(flags[-1])
+    assert run_cli(argv[0], "--config", str(sidecar), "--out", str(again)) == 0
+    assert out.read_bytes() == again.read_bytes()
+
+
+def test_opt_m_refuses_a_size_above_the_relay_count(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert run_cli("opt-m", "--n", "5", "--ms", "7", "--messages", "60", "--out", str(out)) == 1
+    assert "m must be an integer in [1, n_relays], got 7" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_opt_m_reports_m_star(tmp_path, capsys):
     out = tmp_path / "o.json"
     rc = run_cli("opt-m", "--n", "4", "--eta", "0.1", "--messages", "300",

@@ -1264,6 +1264,40 @@ def test_slot_terms_equal_the_pure_python_reference(kw):
         assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize("policy", ["srs", "mrs"])
+@pytest.mark.parametrize(
+    "kw", [{}, dict(sense_threshold=0.3, slot_duration=0.7, noise_var=0.5)],
+    ids=["default", "threshold"],
+)
+def test_lockstep_slot_terms_equal_the_pure_python_reference(policy, kw):
+    """run_batch's terms, _harvest on the shared constants and _link_terms
+    on (K, 1) columns of per-config constants, equal the reference's for
+    each row's config, bit for bit, zero gains and a rate whose inversion
+    numerator underflows to 0 included."""
+    base = SimConfig(n_relays=4, eta=0.3, policy=policy, m=2 if policy == "mrs" else None, **kw)
+    configs = [replace(base, target_rate=rate) for rate in (0.0, 1e-17, 1.0, 3.0)]
+    rows = [_constants(c) for c in configs]
+    columns = engine._Constants(*np.array(rows).T[:, :, None])
+    rng = np.random.default_rng(9)
+    gains = draw_gain(rng, (200, 8))
+    gains[rng.random(gains.shape) < 0.1] = 0.0
+    harvest = engine._harvest(base, rows[0], gains[:, :4]).tolist()
+    decodes, link = engine._link_terms(base, columns, gains[:, None, :4], gains[:, None, 4:])
+    assert decodes.shape == link.shape == (200, len(configs), 4)
+    for r, config in enumerate(configs):
+        got, want = [], []
+        for s, row in enumerate(gains.tolist()):
+            h, d, a, p, e = oracles.slot_terms(config, row[:4], row[4:])
+            got.append((harvest[s], decodes[s, r].tolist(), link[s, r].tolist()))
+            if policy == "srs":
+                want.append((h, d, a))
+            else:  # run_batch pays the power times the slot duration
+                got[-1] += ((link[s, r] * config.slot_duration).tolist(),)
+                want.append((h, d, p, e))
+        # repr also tells the float and bool types and -0.0 apart
+        assert repr(got) == repr(want)
+
+
 @pytest.mark.parametrize("schedule", ["pipelined", "framed"])
 @pytest.mark.parametrize(
     "n_slots",

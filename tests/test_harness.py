@@ -103,6 +103,25 @@ def test_sweep_without_crn_gives_independent_seeds():
     assert len({r.config.seed for r in results}) == 4
 
 
+@pytest.mark.parametrize("crn", [True, False])
+def test_sweep_grid_seed_keys(crn):
+    """In grid order, a point's seed is derived from its (n, eta) indices
+    under crn, whose rate and m axes share a gain field, and from all four
+    of its indices without."""
+    base = SimConfig(policy="mrs", m=1, seed=5)
+    axes = dict(n_relays=[3, 4], etas=[0.1, 0.2], ms=[1, 2], rates=[0.5, 1.0])
+    configs = harness._grid_configs(_spec(base=base, crn=crn, **axes))
+    want = []
+    for i_n, n in enumerate(axes["n_relays"]):
+        for i_eta, eta in enumerate(axes["etas"]):
+            for i_m, m in enumerate(axes["ms"]):
+                for i_rate, rate in enumerate(axes["rates"]):
+                    key = (i_n, i_eta) if crn else (i_n, i_eta, i_m, i_rate)
+                    want.append((n, eta, m, rate, derive_seed(5, key)))
+    got = [(c.n_relays, c.eta, c.m, c.target_rate, c.seed) for c in configs]
+    assert got == want
+
+
 def test_sweep_results_independent_of_worker_count():
     spec1 = _spec(rates=[0.5, 1.0, 1.5], workers=1)
     spec4 = _spec(rates=[0.5, 1.0, 1.5], workers=4)
