@@ -34,8 +34,9 @@ the resolved outcomes, the batteries after the slot and the slot's gains.
 The header's "format": 2 says that the batteries and the gains are packed
 as base64 of little-endian float64s, exact and cheap to write and read.
 run_trial writes each record line from one template (_trace_line), whose
-bytes are those of json.dumps of the record; replay_check steps each
-record once more and checks it against that template, or, where the
+bytes are those of json.dumps of the record, a gain block's lines at a
+time; replay_check steps each record once more, reading its line just
+before the slot, and checks it against that template, or, where the
 bytes differ, field by field (see its docstring).
 
 Two engines step this state machine, and both return the same shape: a
@@ -45,9 +46,15 @@ per relay its harvest if idle, whether it decodes, and whether its srs
 forward arrives or its mrs forward's inversion power, the zero-gain rule
 included. _Trial (via run_trial) runs one config on battery floats; it
 alone writes and replays traces and checks the per-slot energy ledger.
-Its slot_terms derives a gain block at a time; step does the battery
-work, srs being the M = 1 case: one FORWARD debits srs's single pending
-decoder or mrs_final_select's pick, and succeeds if the forward arrives.
+Its slot_terms derives a gain block at a time, and one slot loop, run,
+does the battery work for untraced, traced, checked and replayed runs
+alike, keeping the state in locals for a call's slots: a traced run's
+gain block, or a whole untraced run or replay. srs is the M = 1 case there: one FORWARD debits srs's single
+pending decoder or mrs_final_select's pick, and succeeds if the forward
+arrives. DESIGNATE is one rule in both engines, a stable ranking by
+battery: the m richest free relays listen (ties to the lowest id), m = 1
+for srs, whose listener must also afford the fixed cost; the reference
+rules policies.srs_select and mrs_preselect pick the same relays.
 run_batch runs K configs that share one gain field and differ only in
 BATCH_AXES (m and target_rate) in lockstep, on one path too: constants
 are (K, 1) columns, batteries and decoder sets rows of (K, N) arrays, and
@@ -59,7 +66,6 @@ from __future__ import annotations
 
 import base64
 import binascii
-import contextlib
 import enum
 import functools
 import itertools
@@ -83,7 +89,7 @@ from swiptrelay.channel import (
     inversion_numerator,
 )
 from swiptrelay.errors import ConfigError, InvariantError
-from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
+from swiptrelay.policies import mrs_final_select
 
 SRS = "srs"
 MRS = "mrs"
@@ -386,7 +392,7 @@ def _unpack(text, count: int) -> list:
 
 
 class _Trial:
-    """Mutable state for one run; step() advances it one slot.
+    """Mutable state for one run; run() steps it a batch of slots per call.
 
     The state is one battery per relay and the message awaiting its
     FORWARD phase, as (message, decoder ids); srs keeps its single
@@ -397,7 +403,7 @@ class _Trial:
         self.cfg = config
         self.const = k = _constants(config)
         self.battery = [k.initial_energy] * config.n_relays
-        self.pending: tuple[int, tuple[int, ...]] | None = None
+        self.pending: tuple[int, list[int]] | None = None
         self.next_message = 0
         self.warmup = config.warmup_messages()
         self.tally = dict.fromkeys(Outcome, 0)
@@ -417,78 +423,98 @@ class _Trial:
         if cfg.policy == MRS:
             with np.errstate(over="ignore"):  # a finite power may cost inf joules
                 energy = link * cfg.slot_duration
-            # step reads one power a slot, the forwarder's: rows stay numpy
+            # run reads a power only for a trace, the forwarder's: rows stay numpy
             terms += [*self.same_rows, link, energy.tolist()]
         else:
             terms += [link.tolist(), *self.same_rows]
         return list(zip(*terms))
 
-    def step(self, slot, terms, check=False):
-        """Run one slot on its slot_terms; returns the resolved (message,
-        outcome) pairs, the forwarder, its transmit power, and the designated
-        and decoded ids. With check set, the slot's energy ledger and
-        invariants are checked."""
-        cfg, k, battery = self.cfg, self.const, self.battery
-        harvest, decodes, arrives, power, energy = terms
-        mrs = cfg.policy == MRS
-        # the slot after the last one is the forward-only drain slot
-        do_forward = cfg.schedule == PIPELINED or slot % 2 == 1 or slot >= cfg.n_slots
-        do_broadcast = slot < cfg.n_slots and (cfg.schedule == PIPELINED or slot % 2 == 0)
-
-        if check:
-            energy_before = sum(battery)
-        resolved: list[tuple[int, Outcome]] = []
-        forwarder: int | None = None
-        tx_power: float | None = None
-        designated: list[int] = []
-        decoded: list[int] = []
-        harvested = 0.0
-        debited = 0.0
-
-        # 1. FORWARD: resolve the previous broadcast, if any
-        if do_forward and self.pending is not None:
-            msg, lam = self.pending
-            self.pending = None
-            # srs keeps its single decoder pending, which could pay at designation
-            forwarder = mrs_final_select(lam, battery, energy) if mrs else lam[0]
-            if forwarder is None:
-                resolved.append((msg, Outcome.NO_FEASIBLE_POWER if lam else Outcome.NO_DECODER))
+    def run(self, slot: int, terms, record=None, check: bool = False) -> int:
+        """Step the slots from slot on, one per slot_terms tuple of terms,
+        until terms run out or the run ends; returns the next slot. record,
+        if set, is called after each slot with the slot, its resolved
+        (message, Outcome) pairs, the forwarder, its transmit power and the
+        sorted designated and decoded ids (built for it alone), self.battery
+        then holding the batteries after it. check checks each slot's ledger
+        and invariants."""
+        cfg, battery, tally, warmup = self.cfg, self.battery, self.tally, self.warmup
+        n_slots, fixed_cost = cfg.n_slots, self.const.fixed_cost
+        mrs, pipelined = cfg.policy == MRS, cfg.schedule == PIPELINED
+        m, ids, stored = cfg.m if mrs else 1, range(cfg.n_relays), battery.__getitem__
+        pending, message = self.pending, self.next_message
+        for harvest, decodes, arrives, power, energy in terms:
+            if check:
+                energy_before, harvested, debited = sum(battery), 0.0, 0.0
+            if record:
+                resolved, tx_power = [], None
+            forwarder = None
+            # 1. FORWARD the message broadcast last slot (under "framed" an
+            # even one, so this slot is odd or the drain slot)
+            if pending is not None:
+                msg, decoders = pending
+                pending = None
+                # srs keeps its single decoder pending, which could pay at designation
+                forwarder = mrs_final_select(decoders, battery, energy) if mrs else decoders[0]
+                if forwarder is None:
+                    outcome = Outcome.NO_FEASIBLE_POWER if decoders else Outcome.NO_DECODER
+                else:
+                    debited = energy[forwarder]
+                    if battery[forwarder] < debited:
+                        raise InvariantError(
+                            f"slot {slot}: forwarder {forwarder} cannot pay {debited} J"
+                        )
+                    battery[forwarder] -= debited
+                    outcome = Outcome.SUCCESS if arrives[forwarder] else Outcome.DECODE_FAIL
+                    if record:
+                        tx_power = float(power[forwarder])
+                if msg >= warmup:
+                    tally[outcome] += 1
+                if record:
+                    resolved.append((msg, outcome))
+            # 2. DESIGNATE the m richest free relays, equal batteries in id
+            # order (a stable sort); srs's listener must afford its forward
+            if slot < n_slots and (pipelined or not slot & 1):
+                ranked = sorted(ids, key=stored, reverse=True)
+                if forwarder is not None:
+                    ranked.remove(forwarder)
+                listeners = ranked[:m]
+                if not mrs and listeners and battery[listeners[0]] < fixed_cost:
+                    listeners = []  # the richest cannot pay, so none can
+                if record:
+                    listeners.sort()
+                # a loop: a comprehension's function object each slot would
+                # tip gen 0, which holds a block's terms, into a GC pass a block
+                decoded = []
+                for rid in listeners:
+                    if decodes[rid]:
+                        decoded.append(rid)
+                # 3. BROADCAST: idle relays harvest; listeners and the forwarder do not
+                del ranked[:len(listeners)]
+                for rid in ranked:
+                    battery[rid] += harvest[rid]
+                if check:
+                    harvested = sum([harvest[rid] for rid in ranked])
+                if mrs or decoded:
+                    pending = (message, decoded)
+                else:  # srs: its listener did not decode, or no relay could pay
+                    outcome = Outcome.DECODE_FAIL if listeners else Outcome.NO_CANDIDATE
+                    if message >= warmup:
+                        tally[outcome] += 1
+                    if record:
+                        resolved.append((message, outcome))
+                message += 1
             else:
-                tx_power, cost = float(power[forwarder]), energy[forwarder]
-                if battery[forwarder] < cost:
-                    raise InvariantError(f"slot {slot}: forwarder {forwarder} cannot pay {cost} J")
-                battery[forwarder] -= cost
-                debited = cost
-                ok = arrives[forwarder]
-                resolved.append((msg, Outcome.SUCCESS if ok else Outcome.DECODE_FAIL))
-
-        # 2. DESIGNATE + 3. BROADCAST
-        if do_broadcast:
-            msg = self.next_message
-            self.next_message += 1
-            if mrs:
-                designated = mrs_preselect(battery, cfg.m, (forwarder,))
-            else:
-                pick = srs_select(battery, k.fixed_cost, (forwarder,))
-                designated = [] if pick is None else [pick]
-            decoded = [rid for rid in designated if decodes[rid]]
-            # idle relays harvest; listeners and the forwarder do not
-            busy = {forwarder, *designated}
-            for rid, amount in enumerate(harvest):
-                if rid not in busy:
-                    battery[rid] += amount
-                    harvested += amount
-            if mrs or decoded:
-                self.pending = (msg, tuple(decoded))
-            else:  # srs: its listener did not decode, or no relay could pay
-                resolved.append((msg, Outcome.DECODE_FAIL if designated else Outcome.NO_CANDIDATE))
-
-        for msg, result in resolved:
-            if msg >= self.warmup:
-                self.tally[result] += 1
-        if check:
-            self._check_slot(slot, energy_before, harvested, debited, forwarder, designated)
-        return resolved, forwarder, tx_power, designated, decoded
+                listeners = decoded = []
+            if check:
+                self._check_slot(slot, energy_before, harvested, debited, forwarder, listeners)
+            if record:
+                record(slot, resolved, forwarder, tx_power, listeners, decoded)
+            slot += 1
+            # the slot after the last one is the forward-only drain slot
+            if slot >= n_slots and pending is None:
+                break
+        self.pending, self.next_message = pending, message
+        return slot
 
     def _check_slot(self, slot, energy_before, harvested, debited, forwarder, designated):
         # one forwarder variable: at most one relay transmits per slot
@@ -511,17 +537,19 @@ _GAINS_TAIL = b', "gains": "%s"}\n'
 _b64 = functools.partial(binascii.b2a_base64, newline=False)
 
 
-def _trace_line(slot: int, fields: tuple, battery: str, gains: str) -> str:
-    """The format 2 trace line of a slot that _Trial.step stepped and
-    returned fields for, with battery and gains packed as base64 of
-    little-endian float64s.
+def _gains_texts(rows: np.ndarray) -> list[bytes]:
+    """Each slot's gains in a gain block, packed: one binascii call a row."""
+    raw, width = memoryview(rows).cast("B"), 8 * rows.shape[1]
+    return [_b64(raw[i:i + width]) for i in range(0, len(raw), width)]
 
-    The bytes are those of json.dumps(record) + "\n" for the slot's record
-    with the batteries and gains packed: ids are Python ints and lists of
-    them, whose repr is their JSON, and tx_power is always finite, so its
-    repr is too.
-    """
-    resolved, forwarder, tx_power, designated, decoded = fields
+
+def _trace_line(slot, resolved, forwarder, tx_power, designated, decoded,
+                battery: str, gains: str) -> str:
+    """The format 2 trace line of a slot that _Trial.run recorded, battery
+    and gains packed as base64 of little-endian float64s: the bytes of
+    json.dumps(record) + "\n", as ids are Python ints and lists of them,
+    whose repr is their JSON, and tx_power is always finite, so its repr is
+    too."""
     outcomes = ", ".join([f"[{msg}{_OUTCOME_TAILS[res]}" for msg, res in resolved])
     return (
         f'{{"slot": {slot}, '
@@ -544,36 +572,38 @@ def run_trial(
     run_batch row. Output is a pure function of the config (seed included).
     With trace_path set, a format 2 trace is written for later replay_check:
     the config header, then one JSON record per slot with the batteries and
-    gains packed; its outcomes field holds each message's resolution.
+    gains packed, written a gain block at a time; its outcomes field holds
+    each message's resolution.
     """
-    n, n_slots = config.n_relays, config.n_slots
     trial = _Trial(config)
-    tracing = trace_path is not None
-    if tracing:
-        directory = Path(trace_path).parent
-        if not directory.exists():
-            directory.mkdir(parents=True, exist_ok=True)
-    with open(trace_path, "w", newline="\n") if tracing else contextlib.nullcontext() as writer:
-        if tracing:
-            header = {
-                "kind": "config",
-                "version": __version__,
-                "format": TRACE_FORMAT,
-                "config": config.to_dict(),
-            }
-            writer.write(json.dumps(header) + "\n")
-            pack_battery = struct.Struct(f"<{n}d").pack
-        first = 0
+    if trace_path is None:
+        blocks = map(trial.slot_terms, _gain_draws(config))
+        trial.run(0, itertools.chain.from_iterable(blocks), None, check_invariants)
+        return trial.tally
+    directory = Path(trace_path).parent
+    if not directory.exists():
+        directory.mkdir(parents=True, exist_ok=True)
+    pack_battery = struct.Struct(f"<{config.n_relays}d").pack
+    battery, lines = trial.battery, []
+
+    def record(slot, *fields):
+        packed = _b64(pack_battery(*battery)).decode()
+        lines.append(_trace_line(slot, *fields, packed, texts[slot - first].decode()))
+
+    with open(trace_path, "w", newline="\n") as writer:
+        header = {"kind": "config", "version": __version__, "format": TRACE_FORMAT,
+                  "config": config.to_dict()}
+        writer.write(json.dumps(header) + "\n")
+        slot = 0
         for rows in _gain_draws(config):
-            for slot, terms in enumerate(trial.slot_terms(rows), first):
-                if slot >= n_slots and trial.pending is None:
-                    break
-                fields = trial.step(slot, terms, check_invariants)
-                if tracing:
-                    battery = _b64(pack_battery(*trial.battery)).decode()
-                    gains = _b64(rows[slot - first]).decode()
-                    writer.write(_trace_line(slot, fields, battery, gains))
-            first += len(rows)
+            if slot >= config.n_slots and trial.pending is None:
+                break
+            first, texts = slot, _gains_texts(rows)
+            try:
+                slot = trial.run(slot, trial.slot_terms(rows), record, check_invariants)
+            finally:  # a failed check leaves the trace at the last slot stepped
+                writer.write("".join(lines))
+                lines.clear()
     return trial.tally
 
 
@@ -666,7 +696,8 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                 chunk = slice(b, b + CHUNK)
                 decodes, link = _link_terms(first, columns, g_sl[chunk], g_ld[chunk])
                 if mrs:
-                    costs = link * first.slot_duration
+                    with np.errstate(over="ignore"):  # as in _Trial.slot_terms
+                        costs = link * first.slot_duration
                 else:
                     arrives = link
             available = free
@@ -738,8 +769,12 @@ class ReplayResult:
 _REPLAY_FIELDS = ("forwarder", "tx_power", "designated", "decoded", "outcomes", "battery")
 
 
-def _malformed(slot: int, exc: Exception) -> ReplayResult:
-    return ReplayResult(False, slot, f"malformed record ({type(exc).__name__}: {exc})")
+class _Refused(Exception):
+    """Stops a replay; its one argument is the ReplayResult that refuses."""
+
+
+def _malformed(slot: int, exc: Exception) -> _Refused:
+    return _Refused(ReplayResult(False, slot, f"malformed record ({type(exc).__name__}: {exc})"))
 
 
 def _gain_mismatch(recorded: list, drawn: list, n: int) -> str | None:
@@ -762,41 +797,42 @@ def _parse_record(line: bytes, slot: int, drawn: list | None, n: int):
     """Parse the record line of a slot and check it as far as the step: its
     slot number, and its 2n packed gains against drawn, the seed's draw for
     the slot, or None past the end of the run. Returns (record, gains), or
-    the ReplayResult that refuses the line."""
+    raises _Refused."""
     try:
         rec = json.loads(line.decode())
         recorded_slot = rec["slot"]
         if type(recorded_slot) is not int:
             raise TypeError(f"slot must be an integer, got {recorded_slot!r}")
     except (ValueError, KeyError, TypeError) as exc:
-        return _malformed(slot, exc)
+        raise _malformed(slot, exc)
     if recorded_slot != slot:
-        return ReplayResult(False, recorded_slot, f"expected slot {slot}")
+        raise _Refused(ReplayResult(False, recorded_slot, f"expected slot {slot}"))
     if drawn is None:
-        return ReplayResult(False, slot, "record past the end of the run")
+        raise _Refused(ReplayResult(False, slot, "record past the end of the run"))
     try:
         gains = _unpack(rec["gains"], 2 * n)
     except (ValueError, KeyError, TypeError) as exc:
-        return _malformed(slot, exc)
+        raise _malformed(slot, exc)
     if gains != drawn:
         mismatch = _gain_mismatch(gains, drawn, n)
         if mismatch is not None:
-            return ReplayResult(False, slot, mismatch)
+            raise _Refused(ReplayResult(False, slot, mismatch))
     return rec, gains
 
 
 def replay_check(trace_path) -> ReplayResult:
     """Recompute every state transition of a format 2 trace on its gains.
 
-    The file is read once, one line at a time, and each record is stepped
-    once. A line that ends with the seed's draw for its slot, drawn again as
-    run_trial draws it, is stepped on that draw unparsed. Any other line is
-    parsed, and its gains must lie within GAIN_ULPS of the draw (numpy's
-    log1p rounds differently on some CPUs). Each line must then equal the
-    one run_trial writes for its step and gains; a line that does not is
-    compared field by field, bit-exactly and in JSON type, to name the
-    field that diverged. Returns ok=True iff every record matches and the
-    records reach the end of the run; otherwise the first divergent slot.
+    The file is read once, one line at a time, each line just before
+    _Trial.run steps its slot, and each record is stepped once. A line that
+    ends with the seed's draw for its slot, drawn again as run_trial draws
+    it, is stepped on that draw unparsed. Any other line is parsed, and its
+    gains must lie within GAIN_ULPS of the draw (numpy's log1p rounds
+    differently on some CPUs). Each line must then equal the one run_trial
+    writes for its step and gains; a line that does not is compared field by
+    field, bit-exactly and in JSON type, to name the field that diverged.
+    Returns ok=True iff every record matches and the records reach the end
+    of the run; otherwise the first divergent slot.
     """
     with open(trace_path, "rb") as fh:
         first = fh.readline()
@@ -817,50 +853,60 @@ def replay_check(trace_path) -> ReplayResult:
         n, n_slots = config.n_relays, config.n_slots
         pack_battery = struct.Struct(f"<{n}d").pack
         trial = _Trial(config)
-        # each slot's gain row and terms, drawn as run_trial draws them
-        drawn_slots = (pair for rows in _gain_draws(config)
-                       for pair in zip(rows, trial.slot_terms(rows)))
-        slot = 0
-        for line in fh:
-            # run_trial stops after the last slot, or after the drain slot
-            # that resolves the last message: refuse any line past the end
-            if slot >= n_slots and trial.pending is None:
-                return _parse_record(line, slot, None, n)
-            row, terms = next(drawn_slots)
-            rec = None
-            gains = _b64(row)
-            # the ", " before the tail leaves its quotes unescaped, and
-            # json.loads keeps the last of repeated keys: a line that ends
-            # with the tail and parses holds exactly these gains
-            if not line.endswith(_GAINS_TAIL % gains):
-                drawn = row.tolist()
-                checked = _parse_record(line, slot, drawn, n)
-                if isinstance(checked, ReplayResult):
-                    return checked
-                rec, recorded = checked
-                if recorded != drawn:  # equal gains give the drawn terms
-                    terms = trial.slot_terms(np.array([recorded]))[0]
-                gains = rec["gains"].encode()  # the record's own, checked
-            fields = trial.step(slot, terms)
-            battery = _b64(pack_battery(*trial.battery)).decode()
-            if line == _trace_line(slot, fields, battery, gains.decode()).encode():
-                slot += 1
-                continue
+        battery = trial.battery
+        # the line of the slot being stepped: its bytes, its gains text, its
+        # record if parsed, and the seed's gain row
+        line = gains = rec = row = None
+
+        def read_lines():
+            """Read each slot's line before it is stepped; yield its terms, of
+            the seed's draw or of the line's gains where they differ."""
+            nonlocal line, gains, rec, row
+            slot = 0
+            for rows in _gain_draws(config):
+                for row, terms, gains in zip(rows, trial.slot_terms(rows), _gains_texts(rows)):
+                    if not (line := fh.readline()):
+                        return
+                    rec = None
+                    # the ", " before the tail leaves its quotes unescaped, and
+                    # json.loads keeps the last of repeated keys: a line that
+                    # ends with the tail and parses holds exactly these gains
+                    if not line.endswith(_GAINS_TAIL % gains):
+                        drawn = row.tolist()
+                        rec, recorded = _parse_record(line, slot, drawn, n)
+                        if recorded != drawn:  # equal gains give the drawn terms
+                            terms = trial.slot_terms(np.array([recorded]))[0]
+                        gains = rec["gains"].encode()  # the record's own, checked
+                    yield terms
+                    slot += 1
+
+        def compare(slot, *fields):
+            """Refuse a line unlike run_trial's that differs in a field."""
+            nonlocal rec
+            packed = _b64(pack_battery(*battery)).decode()
+            if line == _trace_line(slot, *fields, packed, gains.decode()).encode():
+                return
             if rec is None:
-                checked = _parse_record(line, slot, row.tolist(), n)
-                if isinstance(checked, ReplayResult):
-                    return checked
-                rec = checked[0]
+                rec = _parse_record(line, slot, row.tolist(), n)[0]
             resolved, forwarder, tx_power, designated, decoded = fields
             outcomes = [[msg, res.value] for msg, res in resolved]
-            computed = (forwarder, tx_power, designated, decoded, outcomes, battery)
+            computed = (forwarder, tx_power, designated, decoded, outcomes, packed)
             # repr keeps apart what == equates: true, 1 and 1.0, and -0.0 and 0.0
             for key, value in zip(_REPLAY_FIELDS, computed):
                 if repr(value) != repr(rec.get(key)):
-                    return ReplayResult(
+                    raise _Refused(ReplayResult(
                         False, slot, f"{key}: recomputed {value!r} != recorded {rec.get(key)!r}"
-                    )
-            slot += 1
+                    ))
+
+        try:
+            slot = trial.run(0, read_lines(), compare)
+            # run_trial stops after the last slot, or after the drain slot
+            # that resolves the last message: any line past the end is refused
+            line = fh.readline()
+            if line:
+                _parse_record(line, slot, None, n)
+        except _Refused as refused:
+            return refused.args[0]
     if trial.pending is not None:
         return ReplayResult(False, slot, "trace ends with an unresolved message")
     # a trace cut where no message is pending steps cleanly up to its cut

@@ -49,10 +49,10 @@ from swiptrelay.errors import ConfigError
 _log = logging.getLogger(__name__)
 
 # per policy, the largest job that runs as separate run_trial calls: on a
-# 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 2.7x, 1.9x, 1.4x,
-# 1.11x (srs, N = 5) and 1.22x, 0.81x, 0.65x, 0.54x (mrs, N = 10, M = 4)
-# the K scalar runs; mrs breaks even between 2 and 3, srs beyond K = 5 (its
-# threshold waits for a bench workload of small srs groups)
+# 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 4.0x, 2.7x, 2.1x,
+# 1.75x (srs, N = 5) and 2.1x, 1.43x, 1.08x, 0.92x (mrs, N = 10, M = 4)
+# the K scalar runs; mrs breaks even between 4 and 5, srs beyond K = 5
+# (both thresholds wait for a bench workload of small groups)
 SCALAR_GROUP = {SRS: 3, MRS: 2}
 
 

@@ -96,7 +96,7 @@ def srs_single_relay_framed(config) -> tuple[float, float]:
 
 
 def record(slot: int, fields: tuple, battery) -> dict:
-    """The trace record of a slot that _Trial.step stepped and returned
+    """The trace record of a slot that _Trial.run stepped and recorded
     fields for, with the batteries after it unpacked."""
     resolved, forwarder, tx_power, designated, decoded = fields
     return {
@@ -112,9 +112,13 @@ def record(slot: int, fields: tuple, battery) -> dict:
 
 def advance(trial, slot: int, g_sl, g_ld, check: bool = False) -> tuple:
     """Step trial one slot on hand-picked gains, through the engine's slot
-    terms of a 1-row gain array; returns the step's fields."""
-    terms = trial.slot_terms(np.array([[*g_sl, *g_ld]], dtype=float))[0]
-    return trial.step(slot, terms, check)
+    terms of a 1-row gain array; returns the fields run records for it:
+    the resolved (message, Outcome) pairs, the forwarder, its transmit
+    power, and the designated and decoded ids."""
+    terms = trial.slot_terms(np.array([[*g_sl, *g_ld]], dtype=float))
+    recorded = []
+    trial.run(slot, terms, lambda _, *fields: recorded.append(fields), check)
+    return recorded[0]
 
 
 def step(trial, slot: int, g_sl, g_ld, check: bool = False) -> tuple[list, dict]:

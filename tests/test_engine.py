@@ -1,11 +1,11 @@
 """Slot semantics, message accounting, determinism, and trace replay.
 
-Micro-scenarios drive _Trial.step directly with hand-picked gains and read
-each slot's trace record from oracles.record. At the default operating
-point (R = 1, P = 10 W, sigma2 = 1, d = 1) the decode and forward gain
-thresholds are both 0.3, the srs transmission costs 10 J, the default
-battery starts at 100 J, and an idle relay harvests 5 * gain joules per
-broadcast.
+Micro-scenarios step _Trial.run one slot at a time on hand-picked gains
+(oracles.advance) and read each slot's trace record from oracles.record.
+At the default operating point (R = 1, P = 10 W, sigma2 = 1, d = 1) the
+decode and forward gain thresholds are both 0.3, the srs transmission
+costs 10 J, the default battery starts at 100 J, and an idle relay
+harvests 5 * gain joules per broadcast.
 """
 
 import base64
@@ -14,6 +14,7 @@ import math
 import shutil
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 from unittest import mock
@@ -528,6 +529,29 @@ def test_unaffordable_forward_is_an_invariant_error():
             advance(trial, 1, [LO] * 3, [1e-6, HI, HI])
 
 
+def test_a_traced_run_that_cannot_pay_keeps_every_slot_it_stepped(tmp_path):
+    """The trace of a run that fails a check ends at the slot before it,
+    also where that slot lies inside a gain block."""
+    real, calls = engine.mrs_final_select, iter(range(10**9))
+
+    def overdraw(decoders, battery, energy):
+        if next(calls) >= 300:  # past the first gain block
+            for rid, (stored, cost) in enumerate(zip(battery, energy)):
+                if stored < cost:
+                    return rid
+        return real(decoders, battery, energy)
+
+    path = tmp_path / "trace.jsonl"
+    cfg = mrs_cfg(schedule="pipelined", n_slots=600, seed=31)
+    with mock.patch.object(engine, "mrs_final_select", side_effect=overdraw):
+        with pytest.raises(InvariantError, match="cannot pay") as failure:
+            run_trial(cfg, trace_path=path)
+    failed = int(str(failure.value).split(":")[0].removeprefix("slot "))
+    assert failed % engine.GAIN_BLOCK
+    records = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert [rec["slot"] for rec in records] == list(range(failed))
+
+
 # Per-Outcome tallies recorded with the per-relay engine this one replaced,
 # in Outcome order (success, no_candidate, decode_fail, no_decoder,
 # no_feasible_power). Counts, not trace digests: the gains in a trace are
@@ -637,6 +661,22 @@ def test_replay_rejects_tampered_battery(tmp_path):
     result = replay_check(path)
     assert not result.ok
     assert result.divergent_slot == rec["slot"]
+    assert "battery" in result.detail
+
+
+def test_replay_names_the_first_of_two_divergent_slots(tmp_path):
+    path = _write_trace(tmp_path)
+    lines = path.read_text().splitlines()
+    for i in (10, 20):
+        rec = json.loads(lines[i])
+        battery = _floats(rec["battery"])
+        battery[0] += 1.0
+        rec["battery"] = _packed(battery)
+        lines[i] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    result = replay_check(path)
+    assert not result.ok
+    assert result.divergent_slot == json.loads(lines[10])["slot"]
     assert "battery" in result.detail
 
 
@@ -1107,6 +1147,39 @@ def test_trace_lines_are_json_dumps_of_the_records(tmp_path, kw, covers):
     assert covers(cfg, [json.loads(line) for line in expected])
 
 
+@pytest.mark.parametrize(
+    "kw,covers",
+    [
+        (dict(policy="srs", n_relays=2, schedule="framed", n_slots=61, warmup_slots=11, seed=4),
+         _drains),
+        # the only relay forwards, so no relay is left to listen
+        (dict(policy="srs", n_relays=1, n_slots=600, seed=5),
+         lambda cfg, recs: any(rec["forwarder"] == 0 and not rec["designated"] for rec in recs)),
+        (dict(policy="mrs", m=2, n_relays=4, eta=0.05, target_rate=0.0, n_slots=300, seed=6),
+         lambda cfg, recs: any(rec["tx_power"] == 0.0 for rec in recs)),
+    ],
+    ids=["srs-framed-warmup-drain", "srs-n1-pipelined", "mrs-rate-0"],
+)
+def test_gain_block_size_changes_no_trace_byte_tally_or_replay(tmp_path, kw, covers):
+    """The state a run carries from one gain block to the next: the trace,
+    the tally and the replay verdict are the same at any block size, and a
+    trace written at one block size replays at every other."""
+    cfg = SimConfig(**kw)
+    blocks = (1, 7, 256)
+    runs = []
+    for block in blocks:
+        path = tmp_path / f"t{block}.jsonl"
+        with mock.patch.object(engine, "GAIN_BLOCK", block):
+            runs.append((path, run_trial(cfg, trace_path=path)))
+    first, tally = runs[0][0].read_bytes(), runs[0][1]
+    assert all(path.read_bytes() == first and got == tally for path, got in runs)
+    assert covers(cfg, [json.loads(line) for line in first.splitlines()[1:]])
+    for path, _ in runs:
+        for block in blocks:
+            with mock.patch.object(engine, "GAIN_BLOCK", block):
+                assert replay_check(path) == ReplayResult(True, tally=tally)
+
+
 def test_traced_run_checks_the_ledger_every_slot(tmp_path):
     cfg = mrs_cfg(n_slots=61, seed=9)
     with mock.patch.object(_Trial, "_check_slot", autospec=True) as check:
@@ -1372,6 +1445,18 @@ def test_run_batch_memory_on_the_compare_grid():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_run_batch_is_silent_where_an_inversion_cost_overflows():
+    """A finite inversion power times a long slot overflows to an infinite
+    cost, which no battery pays: run_batch warns of it no more than
+    run_trial does, and counts alike."""
+    base = SimConfig(n_relays=3, policy="mrs", m=1, slot_duration=1e5, eta=1e-300,
+                     initial_energy=1.0, n_slots=300)
+    configs = [replace(base, m=m, target_rate=rate) for m in (1, 2) for rate in (505.0, 506.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_batch(configs) == [run_trial(cfg) for cfg in configs]
 
 
 def test_run_batch_refuses_configs_outside_one_gain_field():

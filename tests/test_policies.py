@@ -10,11 +10,11 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oracles import inversion_power
+from oracles import advance, inversion_power
 from swiptrelay.channel import inversion_numerator
-from swiptrelay.engine import SimConfig, _Trial
+from swiptrelay.engine import SimConfig, _constants, _Trial
 from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 
@@ -207,3 +207,50 @@ def test_preselect_never_drops_a_strictly_richer_relay(batteries, m):
     for rid, battery in enumerate(batteries):
         if rid not in chosen:
             assert battery <= floor
+
+
+@st.composite
+def designate_cases(draw):
+    """A pipelined slot's batteries before FORWARD, tied often and at or one
+    ulp either side of the fixed srs cost, with the relay that forwards
+    this slot, if any."""
+    n = draw(st.integers(1, 8))
+    policy = draw(st.sampled_from(["srs", "mrs"]))
+    m = draw(st.integers(1, n)) if policy == "mrs" else None
+    cfg = SimConfig(n_relays=n, policy=policy, m=m, n_slots=4)
+    cost = _constants(cfg).fixed_cost
+    values = [0.0, math.nextafter(cost, 0.0), cost, math.nextafter(cost, math.inf), 25.0]
+    battery = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    # an srs forwarder was designated because it could pay
+    payers = [rid for rid, b in enumerate(battery) if policy == "mrs" or b >= cost]
+    forwarder = draw(st.none() | st.sampled_from(payers)) if payers else None
+    return cfg, battery, forwarder
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=designate_cases())
+def test_the_engine_designates_as_the_public_rules(case):
+    """One slot through the engine designates what srs_select or
+    mrs_preselect picks from the batteries after its FORWARD, the forwarder
+    busy: the N = 1 relay that forwards leaves no listener."""
+    cfg, battery, forwarder = case
+    n = cfg.n_relays
+    trial = _Trial(cfg)
+    trial.battery[:] = battery
+    if forwarder is not None:  # message 0 awaits its forward by this decoder
+        trial.pending, trial.next_message = (0, (forwarder,)), 1
+    gains = [9.0] * n  # every listener decodes; an mrs forward costs 1/3 J
+    _, paid_by, _, designated, decoded = advance(trial, 1, gains, gains)
+    after = list(battery)
+    busy = ()
+    if paid_by is not None:
+        energy = trial.slot_terms(np.array([gains + gains]))[0][4]
+        after[paid_by] -= energy[paid_by]
+        busy = (paid_by,)
+    if cfg.policy == "srs":
+        assert paid_by == forwarder
+        pick = srs_select(after, _constants(cfg).fixed_cost, busy)
+        assert designated == ([] if pick is None else [pick])
+    else:
+        assert designated == mrs_preselect(after, cfg.m, busy)
+    assert decoded == designated
