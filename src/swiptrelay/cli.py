@@ -286,8 +286,7 @@ def _cmd_sweep(args) -> int:
     base = _config_from_params(params, **{field: axis[0] for field, axis in axes.items() if axis})
     results = sweep(SweepSpec(
         base=base, rates=params["rates"], etas=params["etas"], n_relays=params["ns"],
-        ms=params["ms"], messages=params["messages"], z=params["z"], crn=params["crn"],
-        workers=params["workers"],
+        ms=params["ms"], z=params["z"], crn=params["crn"], workers=params["workers"],
     ))
     rows = [_row(r.config, r.estimate) for r in results]
     out = _write_table("sweep", params, rows)
@@ -298,8 +297,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_opt_m(args) -> int:
     params = _resolve_params(args, "opt-m")
     base = _config_from_params(params, policy=MRS, m=(params["ms"] or [1])[0])
-    star = optimize_m(base, m_values=params["ms"], messages=params["messages"],
-                      z=params["z"], workers=params["workers"])
+    star = optimize_m(base, m_values=params["ms"], z=params["z"], workers=params["workers"])
     rows = [_row(r.config, r.estimate) for r in star.results]
     out = _write_table("opt-m", params, rows, extra={"m_star": star.m_star})
     for r in star.results:
@@ -316,8 +314,7 @@ def _cmd_compare(args) -> int:
     params = _resolve_params(args, "compare")
     base = _config_from_params(params, policy=MRS, m=1)  # its mrs grid runs M = 1..n
     report = compare_policies(base, rates=params["rates"], n_points=params["n_points"],
-                              messages=params["messages"], z=params["z"],
-                              workers=params["workers"])
+                              z=params["z"], workers=params["workers"])
     results = report.srs + report.mrs_single + report.mrs_star
     rows = [_row(r.config, r.estimate) for r in results]
     extra = {

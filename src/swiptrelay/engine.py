@@ -702,7 +702,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                     arrives = link
             available = free
             # 1. FORWARD
-            if pending and (pipelined or slot % 2 == 1 or slot >= n_slots):
+            if pending:
                 row = message - 1 - held
                 spare = battery - costs[j]
                 margin = np.where(decoders, spare, minus_inf)

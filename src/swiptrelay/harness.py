@@ -16,6 +16,9 @@ worker; otherwise they run in this process. compare_policies is one mrs
 sweep over M = 1..N x rates (M* and both mrs curves) plus the srs curve:
 two jobs on one gain field.
 
+Every grid point runs for its base config's n_slots, as estimate_outage
+does; engine.slots_for_messages turns a message budget into n_slots.
+
 Both engines return a count of each Outcome per config, and _summarize is
 the one place that turns such a count into an OutageEstimate. Configs
 arrive validated: a SimConfig is checked when it is constructed.
@@ -28,7 +31,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -51,8 +54,9 @@ _log = logging.getLogger(__name__)
 # per policy, the largest job that runs as separate run_trial calls: on a
 # 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 4.0x, 2.7x, 2.1x,
 # 1.75x (srs, N = 5) and 2.1x, 1.43x, 1.08x, 0.92x (mrs, N = 10, M = 4)
-# the K scalar runs; mrs breaks even between 4 and 5, srs beyond K = 5
-# (both thresholds wait for a bench workload of small groups)
+# the K scalar runs; the break-even K falls as N grows (mrs, N = 20,
+# M = 10: 0.92x at K = 3), so no one threshold fits every N (both wait
+# for a bench workload of small groups that varies N)
 SCALAR_GROUP = {SRS: 3, MRS: 2}
 
 
@@ -70,16 +74,17 @@ def estimate_outage(
     config: SimConfig, z: float = 3.0, trace_path=None
 ) -> OutageEstimate:
     """Run one trial and summarize its post-warmup outage count."""
-    _check_z(z)
-    if config.message_count() < 1:
-        raise ConfigError("config yields no post-warmup messages")
+    _check_run(config, z)
     return _summarize(run_trial(config, trace_path=trace_path), z)
 
 
-def _check_z(z: float) -> None:
-    """Refuse a CI width that is not a finite positive number of sigmas."""
+def _check_run(config: SimConfig, z: float) -> None:
+    """Refuse a CI width that is not a finite positive number of sigmas,
+    and a run without a post-warmup message to count."""
     if not (math.isfinite(z) and z > 0):
         raise ConfigError(f"z must be finite and > 0, got {z}")
+    if config.message_count() < 1:
+        raise ConfigError("config yields no post-warmup messages")
 
 
 def _summarize(tally: dict[Outcome, int], z: float) -> OutageEstimate:
@@ -102,7 +107,9 @@ class SweepSpec:
     """A grid of scenarios around a base config.
 
     Axes left as None stay at the base value. Grid order is n_relays,
-    then eta, then m, then rate (rate varies fastest).
+    then eta, then m, then rate (rate varies fastest). Every point keeps
+    the base's n_slots, warmup_slots and schedule; messages, if given,
+    sets the base's n_slots to the slots that many messages take.
     """
 
     base: SimConfig
@@ -110,10 +117,15 @@ class SweepSpec:
     etas: Sequence[float] | None = None
     n_relays: Sequence[int] | None = None
     ms: Sequence[int] | None = None
-    messages: int = 20000
+    messages: InitVar[int | None] = None
     z: float = 3.0
     crn: bool = True   # share gain fields across the rate and m axes
     workers: int = 1
+
+    def __post_init__(self, messages: int | None) -> None:
+        if messages is not None:
+            b = self.base
+            self.base = replace(b, n_slots=slots_for_messages(messages, b.warmup_slots, b.schedule))
 
 
 @dataclass(frozen=True)
@@ -130,7 +142,7 @@ _GRID_AXES = (("n_relays", "n_relays"), ("etas", "eta"), ("ms", "m"), ("rates", 
 
 def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
     base = spec.base
-    _check_z(spec.z)
+    _check_run(base, spec.z)
     if not isinstance(spec.workers, int) or spec.workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {spec.workers}")
     if spec.ms is not None and base.policy != MRS:
@@ -141,15 +153,13 @@ def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
         axes.append([getattr(base, field)] if values is None else list(values))
         if not axes[-1]:
             raise ConfigError(f"{name} must be non-empty")
-    n_slots = slots_for_messages(spec.messages, base.warmup_slots, base.schedule)
     # a seed key indexes every axis but, under crn, those sharing a gain field
     keyed = [not (spec.crn and field in BATCH_AXES) for _, field in _GRID_AXES]
     configs = []
     for point in itertools.product(*map(enumerate, axes)):
         key = [i for (i, _), use in zip(point, keyed) if use]
         values = {field: value for (_, field), (_, value) in zip(_GRID_AXES, point)}
-        configs.append(replace(base, **values, n_slots=n_slots,
-                               seed=derive_seed(base.seed, key)))
+        configs.append(replace(base, **values, seed=derive_seed(base.seed, key)))
     return configs
 
 
@@ -198,12 +208,12 @@ class MStarResult:
     results: list[SweepResult]
 
 
-def _mrs_grid(base: SimConfig, ms: Sequence[int], rates: list[float], messages: int, z: float,
+def _mrs_grid(base: SimConfig, ms: Sequence[int], rates: list[float], z: float,
               workers: int) -> tuple[int, list[list[SweepResult]]]:
     """One mrs sweep over ms x rates on one gain field. Returns M*, the size
     of least outage at base.target_rate (one of rates), and each size's row."""
     results = sweep(SweepSpec(base=replace(base, policy=MRS, m=ms[0]), rates=rates, ms=ms,
-                              messages=messages, z=z, workers=workers))
+                              z=z, workers=workers))
     rows = [results[i:i + len(rates)] for i in range(0, len(results), len(rates))]
     at_base = rates.index(base.target_rate)
     best = min(range(len(ms)), key=lambda i: (rows[i][at_base].estimate.p_hat, ms[i]))
@@ -213,7 +223,6 @@ def _mrs_grid(base: SimConfig, ms: Sequence[int], rates: list[float], messages: 
 def optimize_m(
     base: SimConfig,
     m_values: Sequence[int] | None = None,
-    messages: int = 20000,
     z: float = 3.0,
     workers: int = 1,
 ) -> MStarResult:
@@ -227,7 +236,7 @@ def optimize_m(
     m_values = list(m_values)
     if not m_values:
         raise ConfigError("m_values must be non-empty")
-    m_star, rows = _mrs_grid(base, m_values, [base.target_rate], messages, z, workers)
+    m_star, rows = _mrs_grid(base, m_values, [base.target_rate], z, workers)
     return MStarResult(m_star, [row[0] for row in rows])
 
 
@@ -253,7 +262,6 @@ def compare_policies(
     base: SimConfig,
     rates: Sequence[float] | None = None,
     n_points: int = 5,
-    messages: int = 20000,
     z: float = 3.0,
     workers: int = 1,
 ) -> PolicyComparison:
@@ -273,10 +281,9 @@ def compare_policies(
     if not rates:
         raise ConfigError("rates must be non-empty")
     grid_rates = rates if base.target_rate in rates else [*rates, base.target_rate]
-    m_star, rows = _mrs_grid(base, range(1, base.n_relays + 1), grid_rates, messages, z, workers)
+    m_star, rows = _mrs_grid(base, range(1, base.n_relays + 1), grid_rates, z, workers)
     single, star = rows[0][:len(rates)], rows[m_star - 1][:len(rates)]
-    srs = sweep(SweepSpec(base=replace(base, policy=SRS, m=None), rates=rates,
-                          messages=messages, z=z, workers=workers))
+    srs = sweep(SweepSpec(replace(base, policy=SRS, m=None), rates, z=z, workers=workers))
     single_ok, star_ok = [], []
     for point in zip(srs, single, star):
         p_srs, p_one, p_star = (r.estimate for r in point)

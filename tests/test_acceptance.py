@@ -108,16 +108,15 @@ def test_2b_srs_renewal_oracle_where_energy_binds():
 def test_3_outage_trends_vs_rate_eta_n():
     """Outage grows with rate; scarce harvests floor it; more relays help."""
     start = time.perf_counter()
-    base = SimConfig(policy="srs", seed=12345)
+    base = SimConfig(policy="srs", n_slots=MESSAGES, seed=12345)
     curves = {}
     for n, eta in TREND_PAIRS:
-        spec = SweepSpec(base=replace(base, n_relays=n, eta=eta),
-                         rates=RATE_GRID, messages=MESSAGES)
+        spec = SweepSpec(base=replace(base, n_relays=n, eta=eta), rates=RATE_GRID)
         curves[(n, eta)] = [r.estimate for r in sweep(spec)]
     # energy-unconstrained reference at the smallest rate, same gain field
     # (one shared derived seed), isolating the battery-induced excess
     ref_spec = SweepSpec(base=replace(base, n_relays=5, initial_energy=UNLIMITED),
-                         rates=[RATE_GRID[0]], messages=MESSAGES)
+                         rates=[RATE_GRID[0]])
     ref = sweep(ref_spec)[0].estimate
     elapsed = time.perf_counter() - start
 
@@ -157,8 +156,8 @@ def test_4_preselection_size_sweet_spot():
     """An interior listener-count M* beats both extremes, CIs disjoint."""
     start = time.perf_counter()
     base = SimConfig(n_relays=10, policy="mrs", m=1, eta=0.05,
-                     target_rate=1.0, seed=777)
-    star = optimize_m(base, messages=MESSAGES)
+                     target_rate=1.0, n_slots=MESSAGES, seed=777)
+    star = optimize_m(base)
     elapsed = time.perf_counter() - start
     by_m = {r.config.m: r.estimate for r in star.results}
     best, lo, hi = by_m[star.m_star], by_m[1], by_m[10]
@@ -176,8 +175,8 @@ def test_4_preselection_size_sweet_spot():
 def test_5_policy_ordering_across_rates():
     """mrs(1) never worse than srs, mrs(M*) never worse than mrs(1)."""
     start = time.perf_counter()
-    base = SimConfig(n_relays=10, eta=0.05, seed=777)
-    report = compare_policies(base, messages=MESSAGES)   # 5-point rate grid
+    base = SimConfig(n_relays=10, eta=0.05, n_slots=MESSAGES, seed=777)
+    report = compare_policies(base)   # 5-point rate grid
     elapsed = time.perf_counter() - start
     verdict(
         "policy ordering across the rate grid",

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from swiptrelay import harness
-from swiptrelay.engine import Outcome, SimConfig, run_batch, run_trial
+from swiptrelay.engine import Outcome, SimConfig, run_batch, run_trial, slots_for_messages
 from swiptrelay.errors import ConfigError
 from swiptrelay.harness import (
     SweepResult,
@@ -74,10 +74,9 @@ def test_derive_seed_is_stable_and_key_sensitive():
     assert 0 <= a < 2**64
 
 
-def _spec(**kw):
-    kw.setdefault("base", SimConfig(seed=5))
-    kw.setdefault("messages", 300)
-    return SweepSpec(**kw)
+def _spec(base=SimConfig(seed=5), **kw):
+    # every base here is pipelined without warmup: 300 slots, 300 messages
+    return SweepSpec(replace(base, n_slots=300), **kw)
 
 
 def test_sweep_grid_order_rate_fastest():
@@ -202,15 +201,50 @@ def test_sweep_validates_harness_knobs():
         sweep(_spec(workers=0))
 
 
+def test_sweep_messages_sets_the_base_run_length():
+    base = SimConfig(n_relays=3, schedule="framed", warmup_slots=9, seed=5)
+    spec = SweepSpec(base, rates=[0.5, 1.0], messages=150)
+    assert spec.base == replace(base, n_slots=slots_for_messages(150, 9, "framed"))
+    assert replace(spec, workers=2).base == spec.base
+    assert all(r.estimate.messages == 150 for r in sweep(spec))
+
+
+def test_harness_reads_the_run_length_from_the_base():
+    base = SimConfig(n_relays=3, eta=0.2, schedule="framed", warmup_slots=9,
+                     n_slots=slots_for_messages(150, 9, "framed"), seed=5)
+    star = optimize_m(base)
+    report = compare_policies(base, rates=[0.5, 1.0])
+    rows = [*sweep(SweepSpec(base, rates=[0.5, 1.0], etas=[0.2, 0.5])), *star.results,
+            *report.srs, *report.mrs_single, *report.mrs_star]
+    assert len(rows) == 4 + 3 + 3 * 2
+    for row in rows:
+        assert row.estimate.messages == 150
+        assert row.estimate == estimate_outage(row.config)
+
+
+def test_an_empty_run_is_refused_before_anything_runs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(harness, "run_trial", refuse)
+    monkeypatch.setattr(harness, "run_batch", refuse)
+    # two framed slots broadcast once, and the warmup swallows it
+    base = SimConfig(n_slots=2, warmup_slots=1, schedule="framed")
+    for run in (lambda: sweep(SweepSpec(base, rates=[0.5, 1.0])), lambda: optimize_m(base),
+                lambda: compare_policies(base)):
+        with pytest.raises(ConfigError, match="messages"):
+            run()
+
+
 @pytest.mark.parametrize("axis", ["rates", "etas", "n_relays", "ms"])
 def test_sweep_refuses_an_empty_axis(axis):
-    base = SimConfig(n_relays=3, policy="mrs", m=1)
+    base = SimConfig(n_relays=3, policy="mrs", m=1, n_slots=100)
     with pytest.raises(ConfigError, match=f"^{axis} must be non-empty$"):
-        sweep(SweepSpec(base=base, messages=100, **{axis: []}))
+        sweep(SweepSpec(base=base, **{axis: []}))
     # compare's srs curve is a sweep over its rates
     if axis == "rates":
         with pytest.raises(ConfigError, match="^rates must be non-empty$"):
-            compare_policies(base, rates=[], messages=100)
+            compare_policies(base, rates=[])
 
 
 def test_compare_refuses_empty_rates_before_it_runs_anything(monkeypatch):
@@ -219,16 +253,16 @@ def test_compare_refuses_empty_rates_before_it_runs_anything(monkeypatch):
 
     monkeypatch.setattr(harness, "run_trial", refuse)
     monkeypatch.setattr(harness, "run_batch", refuse)
-    base = SimConfig(n_relays=3, policy="mrs", m=1)
+    base = SimConfig(n_relays=3, policy="mrs", m=1, n_slots=100)
     with pytest.raises(ConfigError, match="^rates must be non-empty$"):
-        compare_policies(base, rates=[], messages=100)
+        compare_policies(base, rates=[])
     with pytest.raises(ConfigError, match="^n_points must be >= 2, got 1$"):
-        compare_policies(base, n_points=1, messages=100)
+        compare_policies(base, n_points=1)
 
 
 def test_optimize_m_is_consistent_with_its_own_table():
-    base = SimConfig(n_relays=6, policy="mrs", m=1, eta=0.1, seed=8)
-    star = optimize_m(base, messages=2000)
+    base = SimConfig(n_relays=6, policy="mrs", m=1, eta=0.1, n_slots=2000, seed=8)
+    star = optimize_m(base)
     assert len(star.results) == 6
     assert [r.config.m for r in star.results] == [1, 2, 3, 4, 5, 6]
     best_p = min(r.estimate.p_hat for r in star.results)
@@ -238,17 +272,17 @@ def test_optimize_m_is_consistent_with_its_own_table():
 
 def test_optimize_m_tie_breaks_to_smaller_m():
     # unlimited energy at a tiny rate: several sizes reach zero outage
-    base = SimConfig(n_relays=6, policy="mrs", m=1, target_rate=0.05,
-                     schedule="framed", initial_energy=1e12, seed=8)
-    star = optimize_m(base, m_values=[3, 4, 5], messages=500)
+    base = SimConfig(n_relays=6, policy="mrs", m=1, target_rate=0.05, n_slots=1000,
+                     schedule="framed", initial_energy=1e12, seed=8)  # 500 messages
+    star = optimize_m(base, m_values=[3, 4, 5])
     ps = [r.estimate.p_hat for r in star.results]
     assert ps == [0.0, 0.0, 0.0]  # tie premise; seeds are fixed
     assert star.m_star == 3
 
 
 def test_optimize_m_accepts_srs_flavored_base():
-    base = SimConfig(n_relays=4, seed=9)  # policy srs, m None
-    star = optimize_m(base, messages=500)
+    base = SimConfig(n_relays=4, n_slots=500, seed=9)  # policy srs, m None
+    star = optimize_m(base)
     assert 1 <= star.m_star <= 4
     assert all(r.config.policy == "mrs" for r in star.results)
 
@@ -271,8 +305,8 @@ def test_ci_coverage_on_closed_form_configuration():
 
 
 def test_compare_policies_structure_and_pairing():
-    base = SimConfig(n_relays=4, eta=0.3, seed=4)
-    report = compare_policies(base, rates=[0.5, 1.0], messages=500)
+    base = SimConfig(n_relays=4, eta=0.3, n_slots=500, seed=4)
+    report = compare_policies(base, rates=[0.5, 1.0])
     assert report.rates == [0.5, 1.0]
     for curve in (report.srs, report.mrs_single, report.mrs_star):
         assert [r.config.target_rate for r in curve] == [0.5, 1.0]
@@ -297,8 +331,8 @@ def test_compare_policies_runs_one_mrs_grid_and_the_srs_curve(monkeypatch, rates
         return estimate_job(job)
 
     monkeypatch.setattr(harness, "_estimate_job", counting_estimate_job)
-    base = SimConfig(n_relays=4, eta=0.3, seed=4)
-    report = compare_policies(base, rates=rates, messages=300)
+    base = SimConfig(n_relays=4, eta=0.3, n_slots=300, seed=4)
+    report = compare_policies(base, rates=rates)
     grid_rates = sorted({*rates, 1.0})
     assert groups == [
         [("mrs", m, r) for m in range(1, 5) for r in grid_rates],
@@ -310,26 +344,24 @@ def test_compare_policies_runs_one_mrs_grid_and_the_srs_curve(monkeypatch, rates
 
 @pytest.mark.parametrize("rates", [None, [0.7, 1.3]])
 def test_compare_policies_picks_the_m_star_of_optimize_m(rates):
-    base = SimConfig(n_relays=6, eta=0.1, seed=8)
-    report = compare_policies(base, rates=rates, messages=1000)
-    star = optimize_m(base, messages=1000)
+    base = SimConfig(n_relays=6, eta=0.1, n_slots=1000, seed=8)
+    report = compare_policies(base, rates=rates)
+    star = optimize_m(base)
     assert report.m_star == star.m_star
     # the mrs curves hold the configs a sweep of one curve would run
     for curve, m in ((report.mrs_single, 1), (report.mrs_star, star.m_star)):
-        spec = SweepSpec(base=replace(base, policy="mrs", m=m), rates=report.rates,
-                         messages=1000)
+        spec = SweepSpec(base=replace(base, policy="mrs", m=m), rates=report.rates)
         assert curve == sweep(spec)
 
 
 def test_compare_policies_default_rate_grid():
-    report = compare_policies(SimConfig(n_relays=3, seed=4), n_points=3,
-                              messages=300)
+    report = compare_policies(SimConfig(n_relays=3, n_slots=300, seed=4), n_points=3)
     assert report.rates == [0.5, 1.5, 2.5]
     with pytest.raises(ConfigError, match="n_points"):
-        compare_policies(SimConfig(), n_points=1, messages=300)
+        compare_policies(SimConfig(n_slots=300), n_points=1)
 
 
 def test_compare_policies_ordering_holds_on_reference_scenario():
-    base = SimConfig(n_relays=10, eta=0.05, seed=31)
-    report = compare_policies(base, messages=3000)
+    base = SimConfig(n_relays=10, eta=0.05, n_slots=3000, seed=31)
+    report = compare_policies(base)
     assert report.consistent
