@@ -12,6 +12,7 @@ from swiptrelay.engine import (
     Outcome,
     ReplayResult,
     SimConfig,
+    mrs_final_select,
     replay_check,
     run_batch,
     run_trial,
@@ -29,14 +30,13 @@ from swiptrelay.harness import (
     optimize_m,
     sweep,
 )
-from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 __all__ = [
     "ConfigError",
     "InvariantError",
     "MStarResult",
-    "Outcome",
     "OutageEstimate",
+    "Outcome",
     "PolicyComparison",
     "ReplayResult",
     "SimConfig",
@@ -49,12 +49,10 @@ __all__ = [
     "estimate_outage",
     "gain_stream",
     "mrs_final_select",
-    "mrs_preselect",
     "optimize_m",
     "replay_check",
     "run_batch",
     "run_trial",
     "slots_for_messages",
-    "srs_select",
     "sweep",
 ]

@@ -7,8 +7,8 @@ flags, rightmost wins. Every table written gets a sidecar manifest;
 feeding that manifest back through --config reproduces the table byte
 for byte.
 
-Exit codes: 0 success, 1 bad input or a failed replay, 2 a broken
-internal invariant.
+Exit codes: 0 success, 1 bad input, a failed replay or a run too large
+for memory, 2 a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -407,10 +407,10 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"swiptrelay: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a bare MemoryError has no message of its own
+        detail = f": {exc}" if str(exc) else ""
+        print(f"swiptrelay: error: out of memory{detail}", file=sys.stderr)
+        return 1
     except (InvariantError, AssertionError) as exc:
         print(f"swiptrelay: internal error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -5,16 +5,19 @@ Each slot runs a fixed sequence of phases:
 1. FORWARD: the decoder of the previous broadcast that keeps the largest
    battery margin after paying its transmit cost, if that margin is >= 0,
    transmits to the destination now and is unavailable for anything else
-   this slot. Under "srs" the cost is fixed and the message fails if the
-   destination link rate falls short; under "mrs" the cost is the
-   channel-inversion energy for fresh destination CSI, so a forward
-   always succeeds.
+   this slot. "srs" has no destination-link CSI: its cost is fixed and the
+   message fails if the destination link rate falls short. "mrs" has
+   fresh destination CSI: its cost is the channel-inversion energy, so a
+   forward always succeeds.
 2. DESIGNATE: the M energy-richest non-transmitting relays listen to this
-   slot's broadcast: under "srs" M = 1, and only if it can pay the cost.
+   slot's broadcast. "srs" commits to its one relay here, before the
+   broadcast: M = 1, and only a relay that can pay the fixed cost.
 3. BROADCAST: the source transmits. Listeners attempt to decode; idle
    relays harvest the RF energy instead. Listening and transmitting relays
    harvest nothing. The decode results carry to the next slot's FORWARD
    phase.
+
+Every tie breaks toward the lowest relay id, so runs are reproducible.
 
 Under the default "pipelined" schedule the source broadcasts every slot
 (the previous forwarder simply misses the current broadcast, mimicking
@@ -49,12 +52,12 @@ alone writes and replays traces and checks the per-slot energy ledger.
 Its slot_terms derives a gain block at a time, and one slot loop, run,
 does the battery work for untraced, traced, checked and replayed runs
 alike, keeping the state in locals for a call's slots: a traced run's
-gain block, or a whole untraced run or replay. srs is the M = 1 case there: one FORWARD debits srs's single
-pending decoder or mrs_final_select's pick, and succeeds if the forward
-arrives. DESIGNATE is one rule in both engines, a stable ranking by
-battery: the m richest free relays listen (ties to the lowest id), m = 1
-for srs, whose listener must also afford the fixed cost; the reference
-rules policies.srs_select and mrs_preselect pick the same relays.
+gain block, or a whole untraced run or replay. srs is the M = 1 case
+there: one FORWARD debits srs's single pending decoder or
+mrs_final_select's pick, and succeeds if the forward arrives. DESIGNATE
+is one rule in both engines, a stable ranking by battery: the m richest
+free relays listen, m = 1 for srs, whose listener must also afford the
+fixed cost.
 run_batch runs K configs that share one gain field and differ only in
 BATCH_AXES (m and target_rate) in lockstep, on one path too: constants
 are (K, 1) columns, batteries and decoder sets rows of (K, N) arrays, and
@@ -89,7 +92,6 @@ from swiptrelay.channel import (
     inversion_numerator,
 )
 from swiptrelay.errors import ConfigError, InvariantError
-from swiptrelay.policies import mrs_final_select
 
 SRS = "srs"
 MRS = "mrs"
@@ -391,6 +393,29 @@ def _unpack(text, count: int) -> list:
     return values
 
 
+def mrs_final_select(
+    decoded_ids: Sequence[int], battery: Sequence[float], energy: Sequence[float]
+) -> int | None:
+    """Pick the forwarding relay among the decoders, given destination CSI.
+
+    energy is indexed by relay id: each relay's channel-inversion transmit
+    energy for its own destination gain, inf where a zero gain makes it
+    infeasible. The pick maximizes battery minus energy over the decoders
+    that can afford it. Returns the relay id, or None when no decoder
+    exists or none can pay.
+    """
+    best = None
+    best_margin = None
+    for rid in sorted(decoded_ids):
+        stored, cost = battery[rid], energy[rid]
+        if stored < cost:
+            continue
+        margin = stored - cost
+        if best_margin is None or margin > best_margin:
+            best, best_margin = rid, margin
+    return best
+
+
 class _Trial:
     """Mutable state for one run; run() steps it a batch of slots per call.
 
@@ -630,7 +655,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     Returns, per config, the count of each Outcome over its post-warmup
     messages: exactly run_trial(config): its slot terms come from _Trial's
     _harvest and _link_terms, on _Trial's constants as (K, 1) columns, and
-    ties break toward the lowest relay id as in the policies module.
+    ties break toward the lowest relay id as in _Trial.
 
     What does not read the batteries (inversion costs, decode and arrival
     masks) is derived for CHUNK slots at a time; each slot then makes one

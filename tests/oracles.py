@@ -1,12 +1,14 @@
 """References the engines never evaluate, kept as test oracles: textbook
 link formulas (the engines compare gains with thresholds instead of taking
-logs), a slot's battery-free terms derived one relay at a time in plain
+logs), the DESIGNATE rules one relay at a time (the engines rank batteries
+instead), a slot's battery-free terms derived one relay at a time in plain
 Python, the renewal-reward outage of one srs relay whose battery binds,
 and a slot's trace record as a dict, which json.dumps turns into the bytes
 run_trial's line template must write.
 """
 
 import math
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -38,6 +40,38 @@ def inversion_power(
     if gain_sq == 0:
         return math.inf
     return inversion_numerator(target_rate, noise_var, distance) / gain_sq
+
+
+def srs_select(
+    battery: Sequence[float], fixed_cost: float, busy: Collection[int] = ()
+) -> int | None:
+    """Relay with the most stored energy among those able to pay fixed_cost.
+
+    Relays in busy are skipped. Returns None when no other relay can afford
+    the transmission (all relays then stay free to harvest).
+    """
+    best = None
+    for rid, stored in enumerate(battery):
+        if rid in busy or stored < fixed_cost:
+            continue
+        if best is None or stored > battery[best]:
+            best = rid
+    return best
+
+
+def mrs_preselect(
+    battery: Sequence[float], m: int, busy: Collection[int] = ()
+) -> list[int]:
+    """Sorted ids of the m relays not in busy with the largest stored energy.
+
+    Ties at the boundary go to lower ids. When fewer than m relays are
+    free (one may be transmitting), all free relays are taken.
+    """
+    # a stable sort keeps equal batteries in ascending id order
+    ranked = sorted(range(len(battery)), key=battery.__getitem__, reverse=True)
+    if busy:
+        ranked = [rid for rid in ranked if rid not in busy]
+    return sorted(ranked[:m])
 
 
 def slot_terms(config, g_sl, g_ld) -> tuple:

@@ -17,9 +17,16 @@ import time
 from dataclasses import replace
 from typing import NamedTuple
 
-from oracles import inversion_power, srs_single_relay_framed
+from oracles import inversion_power, mrs_preselect, srs_select, srs_single_relay_framed
 from swiptrelay.cli import main
-from swiptrelay.engine import Outcome, SimConfig, replay_check, run_trial, slots_for_messages
+from swiptrelay.engine import (
+    Outcome,
+    SimConfig,
+    mrs_final_select,
+    replay_check,
+    run_trial,
+    slots_for_messages,
+)
 from swiptrelay.harness import (
     SweepSpec,
     compare_policies,
@@ -27,7 +34,6 @@ from swiptrelay.harness import (
     optimize_m,
     sweep,
 )
-from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
 
 MESSAGES = 20000
 SRS_TRUTH = 1.0 - math.exp(-0.6)                   # 0.45118836...

@@ -131,6 +131,21 @@ def test_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     assert "internal error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("error", [MemoryError(), MemoryError("Unable to allocate 745. GiB")])
+def test_a_run_too_large_for_memory_exits_1(tmp_path, monkeypatch, capsys, error):
+    def boom(*a, **kw):
+        raise error
+
+    monkeypatch.setattr("swiptrelay.cli.compare_policies", boom)
+    rc = run_cli("compare", "--n", "3", "--messages", "10", "--out", str(tmp_path / "x.csv"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("swiptrelay: error: out of memory")
+    assert str(error) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_unwritable_destination_exits_1(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -265,6 +280,9 @@ def test_param_table_sets_each_simconfig_field_once():
     assert [p.key for p in PARAMS] == list(SAMPLES)
     set_fields = sorted(p.field for p in PARAMS if p.field)
     assert set_fields == sorted(f.name for f in fields(SimConfig) if f.name != "n_slots")
+    defaults = {f.name: f.default for f in fields(SimConfig)}
+    assert {p.key: p.default for p in PARAMS if p.field} == {
+        p.key: defaults[p.field] for p in PARAMS if p.field}
     nullable = {p.key for p in PARAMS if p.default is None}
     assert nullable == {"m", "initial_energy", "out", "rates", "etas", "ns", "ms"}
 

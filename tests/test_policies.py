@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import advance, inversion_power
+from oracles import advance, inversion_power, mrs_preselect, srs_select
 from swiptrelay.channel import inversion_numerator
-from swiptrelay.engine import SimConfig, _constants, _Trial
-from swiptrelay.policies import mrs_final_select, mrs_preselect, srs_select
+from swiptrelay.engine import SimConfig, _constants, _Trial, mrs_final_select
 
 
 class Candidate(NamedTuple):
