@@ -380,14 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
                 p_cmd.add_argument("--no-crn", dest="crn", action="store_const",
                                    const=False, help=param.help)
                 continue
-            kwargs = {"help": param.help}
-            if isinstance(param.parse, tuple):
-                kwargs["choices"] = param.parse
-            elif param.parse in (int, float):
-                # list keys stay text here: _resolve_params parses them, so a
-                # bad list is a ConfigError naming the key, not a usage error
-                kwargs["type"] = param.parse
-            p_cmd.add_argument("--" + param.key.replace("_", "-"), **kwargs)
+            # values stay text: _resolve_params converts them as it does a
+            # config file's, so a bad one is a ConfigError naming the key
+            choices = param.parse if isinstance(param.parse, tuple) else None
+            p_cmd.add_argument("--" + param.key.replace("_", "-"), choices=choices,
+                               help=param.help)
         if command == "run":
             p_cmd.add_argument("--trace", metavar="PATH", help="write a replayable trace")
         p_cmd.set_defaults(func=handler)

@@ -44,20 +44,20 @@ bytes differ, field by field (see its docstring).
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
-Both take what does not read a battery from _harvest and _link_terms:
-per relay its harvest if idle, whether it decodes, and whether its srs
-forward arrives or its mrs forward's inversion power, the zero-gain rule
-included. _Trial (via run_trial) runs one config on battery floats; it
-alone writes and replays traces and checks the per-slot energy ledger.
-Its slot_terms derives a gain block at a time, and one slot loop, run,
-does the battery work for untraced, traced, checked and replayed runs
-alike, keeping the state in locals for a call's slots: a traced run's
-gain block, or a whole untraced run or replay. srs is the M = 1 case
-there: one FORWARD debits srs's single pending decoder or
-mrs_final_select's pick, and succeeds if the forward arrives. DESIGNATE
-is one rule in both engines, a stable ranking by battery: the m richest
-free relays listen, m = 1 for srs, whose listener must also afford the
-fixed cost.
+Both take what does not read a battery from _harvest and _link_terms: per
+relay its harvest if idle, whether it decodes, and whether its srs
+forward arrives or its mrs forward's inversion power and energy, the
+zero-gain rule included. _Trial (via run_trial) runs one config on
+battery floats; it alone writes and replays traces and checks the
+per-slot energy ledger. Its slot_terms derives a gain block at a time,
+and one slot loop, run, does the battery work for untraced, traced,
+checked and replayed runs alike, keeping the state in locals for a call's
+slots: a traced run's gain block, or a whole untraced run or replay. srs
+is the M = 1 case there: one FORWARD debits srs's single pending decoder
+or mrs_final_select's pick, and succeeds if the forward arrives.
+DESIGNATE is one rule in both engines, a stable ranking by battery: the m
+richest free relays listen, m = 1 for srs, whose listener must also
+afford the fixed cost.
 run_batch runs K configs that share one gain field and differ only in
 BATCH_AXES (m and target_rate) in lockstep, on one path too: constants
 are (K, 1) columns, batteries and decoder sets rows of (K, N) arrays, and
@@ -225,9 +225,14 @@ class SimConfig:
             raise ConfigError("n_slots must be at most 2**53")
         if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
             raise ConfigError(f"warmup_slots must be a non-negative integer, got {self.warmup_slots}")
-        if self.warmup_slots >= self.n_slots:
+        if self.schedule not in (PIPELINED, FRAMED):
             raise ConfigError(
-                f"warmup_slots must be < n_slots, got {self.warmup_slots} >= {self.n_slots}"
+                f"schedule must be '{PIPELINED}' or '{FRAMED}', got {self.schedule!r}"
+            )
+        if self.message_count() < 1:
+            raise ConfigError(
+                f"warmup_slots out of range: {self.warmup_slots} of {self.n_slots} "
+                f"{self.schedule} slots leave no post-warmup messages"
             )
         # finite factors can still multiply out to inf
         k = _constants(self)
@@ -248,10 +253,6 @@ class SimConfig:
             )
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.schedule not in (PIPELINED, FRAMED):
-            raise ConfigError(
-                f"schedule must be '{PIPELINED}' or '{FRAMED}', got {self.schedule!r}"
-            )
         return self
 
     # -- message accounting ------------------------------------------------
@@ -341,17 +342,18 @@ def _harvest(config: SimConfig, k: _Constants, g_sl: np.ndarray) -> np.ndarray:
 
 
 def _link_terms(config: SimConfig, k: _Constants, g_sl, g_ld) -> tuple:
-    """Whether each listener decodes, and whether its srs forward arrives or
-    its mrs forward's inversion power; k holds floats or (K, 1) columns."""
+    """Whether each listener decodes; whether its srs forward arrives, or its
+    mrs forward's inversion power; and that mrs forward's energy, None for
+    srs, whose forward costs k.fixed_cost. k holds floats or (K, 1) columns."""
     decodes = g_sl >= k.decode_min
     if config.policy == SRS:
-        return decodes, g_ld >= k.forward_min
+        return decodes, g_ld >= k.forward_min, None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         power = k.numerator / g_ld
-    # 0 / 0 is nan, which would win a margin's argmax: the numerator is 0
-    # at rate 0 and where it underflows (numerator / 0 is inf already)
-    np.copyto(power, k.zero_gain_power, where=g_ld == 0)
-    return decodes, power
+        # 0 / 0 is nan, which would win a margin's argmax: the numerator is 0
+        # at rate 0 and where it underflows (numerator / 0 is inf already)
+        np.copyto(power, k.zero_gain_power, where=g_ld == 0)
+        return decodes, power, power * config.slot_duration  # a finite power may cost inf J
 
 
 def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
@@ -443,11 +445,9 @@ class _Trial:
         arrives (always for mrs), and its forward's power and energy (fixed
         for srs, the inversion's for mrs)."""
         cfg, k, n = self.cfg, self.const, self.cfg.n_relays
-        decodes, link = _link_terms(cfg, k, gains[:, :n], gains[:, n:])
+        decodes, link, energy = _link_terms(cfg, k, gains[:, :n], gains[:, n:])
         terms = [_harvest(cfg, k, gains[:, :n]).tolist(), decodes.tolist()]
         if cfg.policy == MRS:
-            with np.errstate(over="ignore"):  # a finite power may cost inf joules
-                energy = link * cfg.slot_duration
             # run reads a power only for a trace, the forwarder's: rows stay numpy
             terms += [*self.same_rows, link, energy.tolist()]
         else:
@@ -719,12 +719,9 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
             j = b % CHUNK
             if j == 0:
                 chunk = slice(b, b + CHUNK)
-                decodes, link = _link_terms(first, columns, g_sl[chunk], g_ld[chunk])
+                decodes, link, energy = _link_terms(first, columns, g_sl[chunk], g_ld[chunk])
                 if mrs:
-                    with np.errstate(over="ignore"):  # as in _Trial.slot_terms
-                        costs = link * first.slot_duration
-                else:
-                    arrives = link
+                    costs = energy
             available = free
             # 1. FORWARD
             if pending:
@@ -740,7 +737,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                 np.putmask(battery, spent, spare)
                 available = ~spent
                 if not mrs:  # a fixed-power forward must also arrive
-                    pays &= arrives[j].take(payer)
+                    pays &= link[j].take(payer)
                 unresolved[row] = False
                 pending = False
             # 2. DESIGNATE + 3. BROADCAST
@@ -786,9 +783,6 @@ class ReplayResult:
     divergent_slot: int | None = None
     detail: str = ""
     tally: dict[Outcome, int] | None = None  # run_trial's count, when ok
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 _REPLAY_FIELDS = ("forwarder", "tx_power", "designated", "decoded", "outcomes", "battery")

@@ -47,10 +47,10 @@ def test_unknown_flag_exits_1():
     assert exc.value.code == 1
 
 
-def test_non_integer_relay_count_exits_1():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("run", "--n", "five")
-    assert exc.value.code == 1
+def test_non_integer_relay_count_exits_1(capsys):
+    # a flag converts as a config-file value does: a ConfigError naming the key
+    assert run_cli("run", "--n", "five") == 1
+    assert "invalid value for n: 'five'" in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_1():
@@ -405,6 +405,30 @@ def test_config_file_not_utf8_exits_1(tmp_path, capsys):
     assert run_cli("run", "--config", str(conf)) == 1
     err = capsys.readouterr().err
     assert f"cannot read config file {conf}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [('{"params": {"n": 3', "invalid JSON"), ('{"params": [3]}', "params must be an object")],
+    ids=["unparsed", "params-not-object"],
+)
+def test_config_file_bad_json_exits_1(tmp_path, capsys, text, message):
+    conf = tmp_path / "c.json"
+    conf.write_text(text)
+    assert run_cli("run", "--config", str(conf)) == 1
+    err = capsys.readouterr().err
+    assert f"config file {conf}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_config_file_bad_bool_names_key(tmp_path, capsys):
+    conf = tmp_path / "c.conf"
+    conf.write_text("crn = maybe\n")
+    assert run_cli("sweep", "--config", str(conf), "--messages", "50",
+                   "--out", str(tmp_path / "s.csv")) == 1
+    err = capsys.readouterr().err
+    assert "invalid value for crn: 'maybe'" in err
     assert "Traceback" not in err
 
 

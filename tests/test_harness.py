@@ -8,7 +8,14 @@ from dataclasses import replace
 import pytest
 
 from swiptrelay import harness
-from swiptrelay.engine import Outcome, SimConfig, run_batch, run_trial, slots_for_messages
+from swiptrelay.engine import (
+    BATCH_AXES,
+    Outcome,
+    SimConfig,
+    run_batch,
+    run_trial,
+    slots_for_messages,
+)
 from swiptrelay.errors import ConfigError
 from swiptrelay.harness import (
     SweepResult,
@@ -60,10 +67,10 @@ def test_estimate_and_sweep_refuse_a_non_finite_or_non_positive_z(z):
 
 
 def test_estimate_rejects_zero_message_budget():
-    # two framed slots broadcast once, and the warmup swallows it
-    cfg = SimConfig(n_slots=2, warmup_slots=1, schedule="framed")
+    # two framed slots broadcast once, and the warmup swallows it: such a
+    # config is refused on construction, so no estimate can be asked of it
     with pytest.raises(ConfigError, match="messages"):
-        estimate_outage(cfg)
+        estimate_outage(SimConfig(n_slots=2, warmup_slots=1, schedule="framed"))
 
 
 def test_derive_seed_is_stable_and_key_sensitive():
@@ -119,6 +126,25 @@ def test_sweep_grid_seed_keys(crn):
                     want.append((n, eta, m, rate, derive_seed(5, key)))
     got = [(c.n_relays, c.eta, c.m, c.target_rate, c.seed) for c in configs]
     assert got == want
+
+
+def test_sweep_jobs_are_runs_of_adjacent_grid_points(monkeypatch):
+    """The grid's last axes are BATCH_AXES, so a gain field's points are
+    adjacent in grid order: 2 etas x 3 rates x 2 ms make two jobs of six."""
+    assert [field for _, field in harness._GRID_AXES[-len(BATCH_AXES):]] == list(BATCH_AXES)
+    jobs = []
+    estimate_job = harness._estimate_job
+
+    def counting_estimate_job(job):
+        jobs.append(job[0])
+        return estimate_job(job)
+
+    monkeypatch.setattr(harness, "_estimate_job", counting_estimate_job)
+    base = SimConfig(n_relays=3, policy="mrs", m=1, seed=5)
+    results = sweep(_spec(base=base, etas=[0.1, 0.5], rates=[0.5, 1.0, 2.0], ms=[1, 2]))
+    assert len(jobs) == 2
+    assert [r.config for r in results] == jobs[0] + jobs[1]
+    assert results == [SweepResult(r.config, estimate_outage(r.config)) for r in results]
 
 
 def test_sweep_results_independent_of_worker_count():
@@ -228,12 +254,12 @@ def test_an_empty_run_is_refused_before_anything_runs(monkeypatch):
 
     monkeypatch.setattr(harness, "run_trial", refuse)
     monkeypatch.setattr(harness, "run_batch", refuse)
-    # two framed slots broadcast once, and the warmup swallows it
-    base = SimConfig(n_slots=2, warmup_slots=1, schedule="framed")
-    for run in (lambda: sweep(SweepSpec(base, rates=[0.5, 1.0])), lambda: optimize_m(base),
-                lambda: compare_policies(base)):
+    # two framed slots broadcast once, and the warmup swallows it: the base
+    # is refused on construction, before any of these is called
+    for run in (lambda base: sweep(SweepSpec(base, rates=[0.5, 1.0])), optimize_m,
+                compare_policies):
         with pytest.raises(ConfigError, match="messages"):
-            run()
+            run(SimConfig(n_slots=2, warmup_slots=1, schedule="framed"))
 
 
 @pytest.mark.parametrize("axis", ["rates", "etas", "n_relays", "ms"])
