@@ -24,9 +24,8 @@ from typing import Callable, NamedTuple
 
 from swiptrelay import __version__
 from swiptrelay.engine import (
-    FRAMED,
     MRS,
-    PIPELINED,
+    PERIOD,
     SRS,
     Outcome,
     SimConfig,
@@ -108,7 +107,7 @@ PARAMS = (
     Param("messages", int, 20000, _ALL, None, "post-warmup messages"),
     Param("warmup", int, 0, _ALL, "warmup_slots", "warmup slots to discard"),
     Param("seed", int, 0, _ALL, "seed", "base seed"),
-    Param("schedule", (PIPELINED, FRAMED), PIPELINED, _ALL, "schedule",
+    Param("schedule", tuple(PERIOD), SimConfig.schedule, _ALL, "schedule",
           "slot schedule"),
     Param("rates", _items(float), None, ("sweep", "compare"), None,
           "comma-separated rate axis"),
@@ -241,8 +240,7 @@ def _write_table(command: str, params: dict, rows: list[dict],
     if not rows:
         raise InvariantError(f"{command} produced an empty table")
     out = _output_path(params["out"] or f"{command}.{params['format']}")
-    if not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(command, params, [str(out), *other_outputs])
     if params["format"] == "csv":
         with open(out, "w", newline="") as fh:

@@ -24,6 +24,9 @@ Under the default "pipelined" schedule the source broadcasts every slot
 full duplex). Under "framed", broadcasts happen on even slots and forwards
 on odd slots only, one message per two slots with no overlap, which makes
 outage probabilities exactly computable and is used for oracle validation.
+PERIOD is the one place a schedule lives: a schedule broadcasts in the
+slots where slot % PERIOD[schedule] == 0, and SimConfig.broadcasts,
+slots_for_messages and both engines' slot loops read it.
 
 Every slot consumes exactly 2N uniform draws (N source->relay gains, then
 N relay->destination gains) no matter what the policy does with them, so a
@@ -97,6 +100,7 @@ SRS = "srs"
 MRS = "mrs"
 PIPELINED = "pipelined"
 FRAMED = "framed"
+PERIOD = {PIPELINED: 1, FRAMED: 2}  # a schedule broadcasts in the slots where slot % period == 0
 
 LEDGER_TOL = 1e-9  # absolute per-slot energy-balance tolerance in debug mode
 GAIN_BLOCK = 256  # slots of gains drawn, and of _Trial's slot terms derived, per call
@@ -177,6 +181,9 @@ class SimConfig:
             except ValueError:
                 bits = value.bit_length()
                 raise ConfigError(f"{f.name} out of range: an integer of {bits} bits") from None
+            kind = type(value)  # numpy's int64 prints like an int: name a type not built in
+            if "int" in f.type and not isinstance(value, int) and kind.__module__ != "builtins":
+                raise ConfigError(f"{f.name} must be a Python int, got {value} ({kind.__name__})")
         if not isinstance(self.n_relays, int) or self.n_relays < 1:
             raise ConfigError(f"n_relays must be a positive integer, got {self.n_relays}")
         if self.policy not in (SRS, MRS):
@@ -225,10 +232,7 @@ class SimConfig:
             raise ConfigError("n_slots must be at most 2**53")
         if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
             raise ConfigError(f"warmup_slots must be a non-negative integer, got {self.warmup_slots}")
-        if self.schedule not in (PIPELINED, FRAMED):
-            raise ConfigError(
-                f"schedule must be '{PIPELINED}' or '{FRAMED}', got {self.schedule!r}"
-            )
+        _period(self.schedule)
         if self.message_count() < 1:
             raise ConfigError(
                 f"warmup_slots out of range: {self.warmup_slots} of {self.n_slots} "
@@ -257,21 +261,14 @@ class SimConfig:
 
     # -- message accounting ------------------------------------------------
 
-    def total_messages(self) -> int:
-        """Messages broadcast over the whole run (every one gets an outcome)."""
-        if self.schedule == PIPELINED:
-            return self.n_slots
-        return (self.n_slots + 1) // 2
-
-    def warmup_messages(self) -> int:
-        """Messages whose broadcast slot falls inside the warmup window."""
-        if self.schedule == PIPELINED:
-            return self.warmup_slots
-        return (self.warmup_slots + 1) // 2
+    def broadcasts(self, slots: int) -> int:
+        """Messages broadcast in slots 0 .. slots - 1 (every one gets an
+        outcome): ceil(slots / PERIOD[schedule])."""
+        return -(-slots // PERIOD[self.schedule])
 
     def message_count(self) -> int:
         """Post-warmup messages this run will produce."""
-        return self.total_messages() - self.warmup_messages()
+        return self.broadcasts(self.n_slots) - self.broadcasts(self.warmup_slots)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -283,6 +280,13 @@ class SimConfig:
         if unknown:
             raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
         return cls(**data)
+
+
+def _period(schedule) -> int:
+    """The schedule's PERIOD; a ConfigError refuses any other value."""
+    if schedule not in tuple(PERIOD):  # a tuple: an unhashable value is refused too
+        raise ConfigError(f"schedule must be '{PIPELINED}' or '{FRAMED}', got {schedule!r}")
+    return PERIOD[schedule]
 
 
 class _Constants(NamedTuple):
@@ -360,7 +364,7 @@ def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
     """Slot count that yields exactly `messages` post-warmup messages."""
     if messages < 1:
         raise ConfigError(f"messages must be >= 1, got {messages}")
-    slots = warmup_slots + (messages if schedule == PIPELINED else 2 * messages)
+    slots = warmup_slots + messages * _period(schedule)
     if slots > MAX_SLOTS:
         raise ConfigError("messages out of range: with the warmup they take more than 2**53 slots")
     return slots
@@ -432,7 +436,6 @@ class _Trial:
         self.battery = [k.initial_energy] * config.n_relays
         self.pending: tuple[int, list[int]] | None = None
         self.next_message = 0
-        self.warmup = config.warmup_messages()
         self.tally = dict.fromkeys(Outcome, 0)
         # slot_terms' constant rows: made per block, they cost a GC pass per block
         rows = [[True]] if config.policy == MRS else [[k.tx_power], [k.fixed_cost]]
@@ -462,9 +465,10 @@ class _Trial:
         sorted designated and decoded ids (built for it alone), self.battery
         then holding the batteries after it. check checks each slot's ledger
         and invariants."""
-        cfg, battery, tally, warmup = self.cfg, self.battery, self.tally, self.warmup
+        cfg, battery, tally = self.cfg, self.battery, self.tally
         n_slots, fixed_cost = cfg.n_slots, self.const.fixed_cost
-        mrs, pipelined = cfg.policy == MRS, cfg.schedule == PIPELINED
+        mrs, period = cfg.policy == MRS, PERIOD[cfg.schedule]
+        warmup = cfg.broadcasts(cfg.warmup_slots)  # messages below it go untallied
         m, ids, stored = cfg.m if mrs else 1, range(cfg.n_relays), battery.__getitem__
         pending, message = self.pending, self.next_message
         for harvest, decodes, arrives, power, energy in terms:
@@ -498,7 +502,7 @@ class _Trial:
                     resolved.append((msg, outcome))
             # 2. DESIGNATE the m richest free relays, equal batteries in id
             # order (a stable sort); srs's listener must afford its forward
-            if slot < n_slots and (pipelined or not slot & 1):
+            if slot < n_slots and not slot % period:
                 ranked = sorted(ids, key=stored, reverse=True)
                 if forwarder is not None:
                     ranked.remove(forwarder)
@@ -605,9 +609,7 @@ def run_trial(
         blocks = map(trial.slot_terms, _gain_draws(config))
         trial.run(0, itertools.chain.from_iterable(blocks), None, check_invariants)
         return trial.tally
-    directory = Path(trace_path).parent
-    if not directory.exists():
-        directory.mkdir(parents=True, exist_ok=True)
+    Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
     pack_battery = struct.Struct(f"<{config.n_relays}d").pack
     battery, lines = trial.battery, []
 
@@ -670,8 +672,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
         if batch_key(cfg) != key:
             raise ConfigError("run_batch configs may differ only in m and target_rate")
     k, n = len(configs), first.n_relays
-    mrs = first.policy == MRS
-    pipelined = first.schedule == PIPELINED
+    mrs, period = first.policy == MRS, PERIOD[first.schedule]
     n_slots = first.n_slots
     rows = [_constants(c) for c in configs]
     columns = _Constants(*np.array(rows).T[:, :, None])  # each a (K, 1) column
@@ -708,7 +709,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     counts = np.zeros((k, len(_OUTCOMES)), np.int64)
     # row r's outcome codes count at r * len(_OUTCOMES) + code
     code_base = np.arange(0, counts.size, len(_OUTCOMES))
-    warmup = first.warmup_messages()
+    warmup = first.broadcasts(first.warmup_slots)
     message = held = slot = 0
     for gains in _gain_draws(first):
         harvest = _harvest(first, shared, gains[:, :n])
@@ -741,7 +742,7 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
                 unresolved[row] = False
                 pending = False
             # 2. DESIGNATE + 3. BROADCAST
-            if slot < n_slots and (pipelined or slot % 2 == 0):
+            if slot < n_slots and not slot % period:
                 row = message - held
                 # stable: equal batteries rank by relay id
                 rank = np.where(available, -battery, plus_inf)

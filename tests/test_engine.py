@@ -100,11 +100,35 @@ def mrs_cfg(**kw):
         (dict(n_slots=2, warmup_slots=1, schedule="framed"), "warmup_slots out of range"),
         # the message count reads the schedule, so a bad one is named first
         (dict(n_slots=2, warmup_slots=1, schedule="duplex"), "^schedule"),
+        # an unhashable value is refused, not a TypeError
+        (dict(schedule=["framed"]), "^schedule"),
     ],
 )
 def test_config_validation_names_offending_key(kw, key):
     with pytest.raises(ConfigError, match=key):
         SimConfig(**kw).validate()
+
+
+# each integer field's refusal of a Python float, byte for byte
+INT_REFUSALS = {
+    "n_relays": "n_relays must be a positive integer, got 2.5",
+    "m": "m must be an integer in [1, n_relays], got 2.5",
+    "n_slots": "n_slots must be a positive integer, got 2.5",
+    "warmup_slots": "warmup_slots must be a non-negative integer, got 2.5",
+    "seed": "seed must be a 64-bit unsigned integer, got 2.5",
+}
+
+
+@pytest.mark.parametrize("key", INT_REFUSALS)
+def test_config_validation_names_the_type_of_a_numpy_integer(key):
+    # numpy's int64 prints as bare digits, which would read as a refused
+    # valid count: the refusal names its type
+    kw = dict(policy="mrs", m=1)
+    with pytest.raises(ConfigError, match=rf"^{key} must be a Python int, got 1 \(int64\)$"):
+        SimConfig(**{**kw, key: np.int64(1)})
+    with pytest.raises(ConfigError) as refused:
+        SimConfig(**{**kw, key: 2.5})
+    assert str(refused.value) == INT_REFUSALS[key]
 
 
 NUMBER_FIELDS = [f.name for f in fields(SimConfig) if f.type != "str"]
@@ -179,7 +203,7 @@ def test_config_validation_accepts_extreme_but_representable_values():
     cfg = SimConfig(source_power_dbw=3000.0, relay_power_dbw=-3000.0,
                     distance=1e-150, target_rate=500.0, slot_duration=1e-300,
                     n_slots=20).validate()
-    assert sum(run_trial(cfg).values()) == cfg.total_messages()
+    assert sum(run_trial(cfg).values()) == cfg.broadcasts(cfg.n_slots)
 
 
 def test_config_is_validated_on_construction_and_replace():
@@ -221,15 +245,21 @@ def test_config_derived_quantities():
 
 def test_message_accounting_pipelined():
     cfg = SimConfig(n_slots=6, warmup_slots=3)
-    assert cfg.total_messages() == 6
+    assert cfg.broadcasts(cfg.n_slots) == 6
     assert cfg.message_count() == 3
     assert slots_for_messages(3, 3, "pipelined") == 6
 
 
+@pytest.mark.parametrize("schedule", ["duplex", ["framed"]])
+def test_slots_for_messages_refuses_an_unknown_schedule(schedule):
+    with pytest.raises(ConfigError, match="^schedule must be 'pipelined' or 'framed', got "):
+        slots_for_messages(3, 0, schedule)
+
+
 def test_message_accounting_framed():
     cfg = SimConfig(n_slots=8, warmup_slots=3, schedule="framed")
-    assert cfg.total_messages() == 4     # broadcasts on slots 0, 2, 4, 6
-    assert cfg.warmup_messages() == 2    # slots 0 and 2 fall in the warmup
+    assert cfg.broadcasts(cfg.n_slots) == 4       # broadcasts on slots 0, 2, 4, 6
+    assert cfg.broadcasts(cfg.warmup_slots) == 2  # slots 0 and 2 fall in the warmup
     assert cfg.message_count() == 2
     for messages in (1, 2, 7):
         for warmup in (0, 1, 4):
@@ -389,7 +419,7 @@ def _message_outcomes(cfg, trace):
     """(message, Outcome) of each post-warmup message in resolution order,
     read from the trace of a run, after checking them against its count."""
     tally = run_trial(cfg, trace_path=trace)
-    warmup = cfg.warmup_messages()
+    warmup = cfg.broadcasts(cfg.warmup_slots)
     pairs = [
         (msg, Outcome(value))
         for line in trace.read_text().splitlines()[1:]
@@ -448,6 +478,34 @@ def test_warmup_discards_early_messages(tmp_path):
     assert [msg for msg, _ in outcomes] == [4, 5, 6, 7, 8, 9]
     framed = SimConfig(n_slots=10, warmup_slots=3, seed=2, schedule="framed")
     assert [msg for msg, _ in _message_outcomes(framed, tmp_path / "f.jsonl")] == [2, 3, 4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    policy=st.sampled_from(["srs", "mrs"]),
+    schedule=st.sampled_from(["pipelined", "framed"]),
+    n_slots=st.integers(1, 60),
+    data=st.data(),
+)
+def test_a_traced_run_resolves_each_broadcast_once(n, policy, schedule, n_slots, data):
+    """The count of broadcasts is the loop's: a run resolves exactly the
+    messages 0 .. broadcasts(n_slots) - 1, and tallies message_count()."""
+    # every warmup that leaves a post-warmup message: a framed run of even
+    # n_slots broadcasts last in slot n_slots - 2
+    last_warmup = n_slots - 1 if schedule == "pipelined" else (n_slots - 1) // 2 * 2
+    cfg = SimConfig(
+        n_relays=n, policy=policy, m=1 if policy == "mrs" else None, schedule=schedule,
+        n_slots=n_slots, warmup_slots=data.draw(st.integers(0, last_warmup)),
+        eta=data.draw(st.sampled_from([0.02, 0.5])), seed=data.draw(st.integers(0, 2**32)),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = Path(tmp) / "t.jsonl"
+        tally = run_trial(cfg, trace_path=trace)
+        records = [json.loads(line) for line in trace.read_text().splitlines()[1:]]
+    resolved = sorted(msg for rec in records for msg, _ in rec["outcomes"])
+    assert resolved == list(range(cfg.broadcasts(cfg.n_slots)))
+    assert sum(tally.values()) == cfg.message_count()
 
 
 def test_run_trial_is_deterministic(tmp_path):

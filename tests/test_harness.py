@@ -5,6 +5,7 @@ import logging
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from swiptrelay import harness
@@ -284,6 +285,12 @@ def test_compare_refuses_empty_rates_before_it_runs_anything(monkeypatch):
         compare_policies(base, rates=[])
     with pytest.raises(ConfigError, match="^n_points must be >= 2, got 1$"):
         compare_policies(base, n_points=1)
+
+
+def test_optimize_m_names_the_type_of_a_numpy_size():
+    base = SimConfig(n_relays=3, n_slots=100)
+    with pytest.raises(ConfigError, match=r"^m must be a Python int, got 1 \(int64\)$"):
+        optimize_m(base, m_values=np.arange(1, 3, dtype=np.int64))
 
 
 def test_optimize_m_is_consistent_with_its_own_table():
