@@ -3,6 +3,13 @@ decode-and-forward relay selection."""
 
 __version__ = "0.1.0"
 
+import os
+
+# nothing in swiptrelay calls BLAS, yet OpenBLAS starts a thread per core
+# when numpy loads, each spinning for about 0.1 s of CPU before it sleeps;
+# a value already set is kept, and a numpy loaded earlier is not affected
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from swiptrelay.channel import (
     dbw_to_watts,
     draw_gain,

@@ -362,6 +362,11 @@ def _link_terms(config: SimConfig, k: _Constants, g_sl, g_ld) -> tuple:
 
 def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
     """Slot count that yields exactly `messages` post-warmup messages."""
+    # a bool or numpy integer would pass the comparison below, a float would
+    # be refused later under n_slots, and a str would raise a TypeError
+    if isinstance(messages, bool) or not isinstance(messages, int):
+        kind = type(messages).__name__
+        raise ConfigError(f"messages must be a Python int, got {messages} ({kind})")
     if messages < 1:
         raise ConfigError(f"messages must be >= 1, got {messages}")
     slots = warmup_slots + messages * _period(schedule)

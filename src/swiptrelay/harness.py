@@ -12,9 +12,11 @@ in rate and pre-selection size. A job of up to SCALAR_GROUP[policy] points
 runs each on the scalar engine (engine.run_trial), which is faster there;
 a larger one steps its points in lockstep (engine.run_batch). Jobs go to a
 process pool only when there are two or more of them and more than one
-worker; otherwise they run in this process. compare_policies is one mrs
-sweep over M = 1..N x rates (M* and both mrs curves) plus the srs curve:
-two jobs on one gain field.
+worker; otherwise they run in this process. The pool machinery
+(concurrent.futures, multiprocessing, logging) is imported only when a
+sweep starts a pool, so no other command or caller loads it.
+compare_policies is one mrs sweep over M = 1..N x rates (M* and both mrs
+curves) plus the srs curve: two jobs on one gain field.
 
 Every grid point runs for its base config's n_slots, as estimate_outage
 does; engine.slots_for_messages turns a message budget into n_slots.
@@ -28,10 +30,7 @@ with no post-warmup message included; the harness checks its own knobs.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import InitVar, dataclass, replace
 from typing import Sequence
 
@@ -49,8 +48,6 @@ from swiptrelay.engine import (
     slots_for_messages,
 )
 from swiptrelay.errors import ConfigError
-
-_log = logging.getLogger(__name__)
 
 # per policy, the largest job that runs as separate run_trial calls: on a
 # 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 4.0x, 2.7x, 2.1x,
@@ -177,13 +174,16 @@ def sweep(spec: SweepSpec) -> list[SweepResult]:
     # _GRID_AXES ends with BATCH_AXES, so a gain field's points are adjacent
     jobs = [(list(group), spec.z) for _, group in itertools.groupby(configs, batch_key)]
     if len(jobs) > 1 and spec.workers > 1:
+        import logging
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs))) as pool:
                 per_job = list(pool.map(_estimate_job, jobs))
         except (OSError, BrokenProcessPool) as exc:
             # sandboxed environments may forbid subprocesses; results are
             # per-config deterministic, so serial execution is equivalent
-            _log.warning(
+            logging.getLogger(__name__).warning(
                 "process pool failed (%s: %s); running %d jobs serially",
                 type(exc).__name__, exc, len(jobs),
             )

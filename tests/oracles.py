@@ -3,7 +3,8 @@ link formulas (the engines compare gains with thresholds instead of taking
 logs), the DESIGNATE rules one relay at a time (the engines rank batteries
 instead), a slot's battery-free terms derived one relay at a time in plain
 Python, the renewal-reward outage of one srs relay whose battery binds,
-and a slot's trace record as a dict, which json.dumps turns into the bytes
+the energy-balance outage of srs at any N where batteries bind, and a
+slot's trace record as a dict, which json.dumps turns into the bytes
 run_trial's line template must write.
 """
 
@@ -127,6 +128,37 @@ def srs_single_relay_framed(config) -> tuple[float, float]:
     short = 1.0 + (cost - remainder) / harvest
     cycle = short + forwards / p_d
     return 1.0 - q * forwards / cycle, short / cycle
+
+
+def srs_energy_balance(config) -> tuple[float, float]:
+    """Stationary outage probability and NO_CANDIDATE share of srs with any
+    number of relays N, where batteries bind.
+
+    Write eta for one idle relay's mean harvest per broadcast, in fixed
+    costs: an Exp(mean u) amount kept only at or above the sense threshold
+    s has mean u (1 + t) e^{-t}, t = s/u. Let P_c be the share of messages
+    with a listener. A listener decodes with probability p_d and then
+    forwards, paying one fixed cost; every other relay that neither
+    listens nor forwards in a broadcast slot harvests. Batteries are
+    unbounded, so in stationarity energy in equals energy out per message:
+    eta (N - P_c) = P_c p_d framed, and eta (N - P_c - P_c p_d) = P_c p_d
+    pipelined, where the previous message's forwarder misses the broadcast.
+    So P_c = N eta / (p_d + eta) framed and N eta / (p_d + eta (1 + p_d))
+    pipelined while that is below 1; above it batteries grow and P_c is 1.
+    The outage is 1 - P_c p_d q, with q the chance that a fixed-power
+    forward arrives, and the NO_CANDIDATE share is 1 - P_c. The balance
+    reads only "a relay listens whenever some free relay can pay", so it
+    holds whatever the ranking rule and the initial energy."""
+    source_power = dbw_to_watts(config.source_power_dbw)
+    relay_power = dbw_to_watts(config.relay_power_dbw)
+    numerator = inversion_numerator(config.target_rate, config.noise_var, config.distance)
+    p_d, q = math.exp(-numerator / source_power), math.exp(-numerator / relay_power)
+    u = config.eta * source_power * config.slot_duration / config.distance**PATH_LOSS_EXP
+    t = config.sense_threshold / u
+    eta = u * (1.0 + t) * math.exp(-t) / (relay_power * config.slot_duration)
+    spent = p_d + eta * (1.0 if config.schedule == "framed" else 1.0 + p_d)
+    listens = min(1.0, config.n_relays * eta / spent)
+    return 1.0 - listens * p_d * q, 1.0 - listens
 
 
 def record(slot: int, fields: tuple, battery) -> dict:

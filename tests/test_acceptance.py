@@ -17,7 +17,13 @@ import time
 from dataclasses import replace
 from typing import NamedTuple
 
-from oracles import inversion_power, mrs_preselect, srs_select, srs_single_relay_framed
+from oracles import (
+    inversion_power,
+    mrs_preselect,
+    srs_energy_balance,
+    srs_select,
+    srs_single_relay_framed,
+)
 from swiptrelay.cli import main
 from swiptrelay.engine import (
     Outcome,
@@ -109,6 +115,42 @@ def test_2b_srs_renewal_oracle_where_energy_binds():
             ok = ok and abs(share - truth) <= tol
             details.append(f"eta={eta} {name}: |{share:.5f}-{truth:.5f}|<={tol:.5f}")
     verdict("srs renewal-reward oracle, energy binding", ok, "; ".join(details))
+
+
+def test_2c_srs_energy_balance_oracle_where_batteries_couple():
+    """srs with 2 to 20 relays that compete for the listener slot: outage
+    and the NO_CANDIDATE share match the energy-balance law within 3 Wald
+    SE, on both schedules, with a sense threshold and with Pr != Ps. At
+    N = 1 framed the law is the renewal-reward oracle of test_2b."""
+    for eta in (0.1, 0.5, 1.0):
+        one = SimConfig(n_relays=1, schedule="framed", eta=eta)
+        law, renewal = srs_energy_balance(one), srs_single_relay_framed(one)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(law, renewal))
+    messages, warmup = 60000, 20000  # the warmup forgets the initial batteries
+    cases = [
+        dict(n_relays=2, eta=0.3, schedule="pipelined"),
+        dict(n_relays=5, eta=0.1, schedule="framed"),
+        dict(n_relays=20, eta=0.03, sense_threshold=0.05, schedule="pipelined"),
+        dict(n_relays=5, eta=0.1, relay_power_dbw=12.0, schedule="pipelined"),
+        dict(n_relays=5, eta=0.1, relay_power_dbw=8.0, schedule="framed"),
+    ]
+    details = []
+    ok = True
+    for case in cases:
+        cfg = SimConfig(policy="srs", seed=1, warmup_slots=warmup,
+                        n_slots=slots_for_messages(messages, warmup, case["schedule"]), **case)
+        truths = srs_energy_balance(cfg)
+        ok = ok and 1.0 - truths[1] <= 0.9  # P_c stays clear of the edge where batteries grow
+        tally = run_trial(cfg)
+        ok = ok and sum(tally.values()) == messages
+        shares = (1.0 - tally[Outcome.SUCCESS] / messages,
+                  tally[Outcome.NO_CANDIDATE] / messages)
+        for name, share, truth in zip(("p_out", "no_candidate"), shares, truths):
+            se = math.sqrt(share * (1.0 - share) / messages)
+            ok = ok and abs(share - truth) <= 3.0 * se
+            label = " ".join(f"{key}={value}" for key, value in case.items())
+            details.append(f"{label} {name}: {(share - truth) / se:+.2f} SE")
+    verdict("srs energy-balance oracle, batteries coupled", ok, "; ".join(details))
 
 
 def test_3_outage_trends_vs_rate_eta_n():

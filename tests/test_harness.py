@@ -1,5 +1,6 @@
 """Estimation, sweep grids, seed derivation, M* search, policy comparison."""
 
+import concurrent.futures.process
 import json
 import logging
 import math
@@ -194,7 +195,8 @@ def _no_pool(*args, **kwargs):
 
 
 def test_sweep_runs_a_single_gain_field_in_process(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _no_pool)
+    # sweep imports the pool from here when it starts one
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", _no_pool)
     base = SimConfig(policy="mrs", m=1, seed=5)
     results = sweep(_spec(base=base, rates=[0.5, 1.0], ms=[1, 2], workers=4))
     assert len(results) == 4
@@ -207,7 +209,7 @@ def test_sweep_pool_failure_falls_back_serially_and_says_so(monkeypatch, caplog)
     def refuse(*args, **kwargs):
         raise OSError("subprocesses are forbidden here")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
     with caplog.at_level(logging.WARNING, logger="swiptrelay.harness"):
         assert sweep(spec) == expected
     warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
@@ -226,6 +228,20 @@ def test_sweep_validates_harness_knobs():
         sweep(_spec(messages=0))
     with pytest.raises(ConfigError, match="workers"):
         sweep(_spec(workers=0))
+
+
+@pytest.mark.parametrize(
+    "messages, kind", [(True, "bool"), (1.5, "float"), (2.0, "float"), (np.int64(2), "int64"),
+                       ("3", "str")],
+)
+def test_a_message_count_that_is_not_an_int_is_refused_naming_messages(messages, kind):
+    refusal = rf"^messages must be a Python int, got {messages} \({kind}\)$"
+    with pytest.raises(ConfigError, match=refusal):
+        slots_for_messages(messages, 0, "pipelined")
+    with pytest.raises(ConfigError, match=refusal):
+        SweepSpec(SimConfig(n_slots=10), messages=messages)
+    with pytest.raises(ConfigError, match=r"^messages must be >= 1, got 0$"):
+        slots_for_messages(0, 0, "framed")
 
 
 def test_sweep_messages_sets_the_base_run_length():
