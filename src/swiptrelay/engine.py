@@ -130,6 +130,49 @@ class Outcome(enum.Enum):
     __hash__ = object.__hash__
 
 
+def check_number(key: str, value, integer: bool, *rules):
+    """Return value, the number named key, or refuse it with a ConfigError:
+    a bool or what is not a real number, an int too long to print, a type
+    not built in where integer asks for a Python int, and then a value that
+    a (test, bound) rule fails, as "<key> must be <bound>, got <value>" (a
+    rule with a third item, True, leaves out the value)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    try:  # the messages print the value: str() refuses an int of over 4300 digits
+        str(value)
+    except ValueError:
+        raise ConfigError(f"{key} out of range: an integer of {value.bit_length()} bits") from None
+    kind = type(value)  # numpy's int64 prints like an int: name it (a NaN is _FINITE's)
+    if integer and kind is not float and not isinstance(value, int) and math.isfinite(value):
+        raise ConfigError(f"{key} must be a Python int, got {value} ({kind.__name__})")
+    for test, bound, *no_value in rules:
+        if not test(value):
+            raise ConfigError(f"{key} must be {bound}" + ("" if no_value else f", got {value}"))
+    return value
+
+
+# NaN slips through every range test, and inf through most; an int is
+# finite, and math.isfinite overflows on a large one
+_FINITE = (lambda v: isinstance(v, int) or math.isfinite(v), "finite")
+POSITIVE_INT = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
+# each SimConfig number field's rules after _FINITE
+_RULES = {
+    "n_relays": (POSITIVE_INT,),
+    "target_rate": (_NON_NEGATIVE,),
+    "eta": ((lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),),
+    "noise_var": (_POSITIVE,),
+    "distance": (_POSITIVE,),
+    "slot_duration": (_POSITIVE,),
+    "initial_energy": (_NON_NEGATIVE,),
+    "sense_threshold": (_NON_NEGATIVE,),
+    "n_slots": (POSITIVE_INT, (lambda v: v <= MAX_SLOTS, "at most 2**53", True)),
+    "warmup_slots": ((lambda v: isinstance(v, int) and v >= 0, "a non-negative integer"),),
+    "seed": ((lambda v: isinstance(v, int) and 0 <= v < 2**64, "a 64-bit unsigned integer"),),
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """All scenario parameters for one simulation run.
@@ -139,7 +182,8 @@ class SimConfig:
     initial_energy None means ten fixed-power transmissions' worth.
 
     A config is frozen and validated on construction, so every instance,
-    each one dataclasses.replace makes included, has passed validate().
+    each one dataclasses.replace makes included, has passed validate(),
+    which checks each number field's _RULES in field order first.
     """
 
     n_relays: int = 5
@@ -165,27 +209,8 @@ class SimConfig:
     def validate(self) -> "SimConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "str" or (value is None and f.default is None):
-                continue
-            # a str or bool would reach the range comparisons below
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            # NaN slips through every range comparison below, and inf through
-            # most; an int is finite, and math.isfinite overflows on a large one
-            if not isinstance(value, int) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
-            # the messages below print the value, and str() refuses an int of
-            # more digits than sys.get_int_max_str_digits()
-            try:
-                str(value)
-            except ValueError:
-                bits = value.bit_length()
-                raise ConfigError(f"{f.name} out of range: an integer of {bits} bits") from None
-            kind = type(value)  # numpy's int64 prints like an int: name a type not built in
-            if "int" in f.type and not isinstance(value, int) and kind.__module__ != "builtins":
-                raise ConfigError(f"{f.name} must be a Python int, got {value} ({kind.__name__})")
-        if not isinstance(self.n_relays, int) or self.n_relays < 1:
-            raise ConfigError(f"n_relays must be a positive integer, got {self.n_relays}")
+            if f.type != "str" and not (value is None and f.default is None):
+                check_number(f.name, value, "int" in f.type, _FINITE, *_RULES.get(f.name, ()))
         if self.policy not in (SRS, MRS):
             raise ConfigError(f"policy must be '{SRS}' or '{MRS}', got {self.policy!r}")
         if self.policy == MRS:
@@ -195,20 +220,6 @@ class SimConfig:
                 raise ConfigError(f"m must be an integer in [1, n_relays], got {self.m}")
         elif self.m is not None:
             raise ConfigError("m is only valid for policy 'mrs'")
-        if self.target_rate < 0:
-            raise ConfigError(f"target_rate must be >= 0, got {self.target_rate}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError(f"eta must be in [0, 1], got {self.eta}")
-        if self.noise_var <= 0:
-            raise ConfigError(f"noise_var must be > 0, got {self.noise_var}")
-        if self.distance <= 0:
-            raise ConfigError(f"distance must be > 0, got {self.distance}")
-        if self.slot_duration <= 0:
-            raise ConfigError(f"slot_duration must be > 0, got {self.slot_duration}")
-        if self.initial_energy is not None and self.initial_energy < 0:
-            raise ConfigError(f"initial_energy must be >= 0, got {self.initial_energy}")
-        if self.sense_threshold < 0:
-            raise ConfigError(f"sense_threshold must be >= 0, got {self.sense_threshold}")
         # constants the engines derive; overflow or underflow to 0 would
         # surface there as OverflowError or ZeroDivisionError
         for name, derive in (
@@ -226,12 +237,6 @@ class SimConfig:
                     f"{name} out of range: {getattr(self, name)} makes a derived "
                     "constant overflow or underflow to 0"
                 )
-        if not isinstance(self.n_slots, int) or self.n_slots < 1:
-            raise ConfigError(f"n_slots must be a positive integer, got {self.n_slots}")
-        if self.n_slots > MAX_SLOTS:
-            raise ConfigError("n_slots must be at most 2**53")
-        if not isinstance(self.warmup_slots, int) or self.warmup_slots < 0:
-            raise ConfigError(f"warmup_slots must be a non-negative integer, got {self.warmup_slots}")
         _period(self.schedule)
         if self.message_count() < 1:
             raise ConfigError(
@@ -255,8 +260,6 @@ class SimConfig:
                 "eta, source_power_dbw, slot_duration, distance and n_slots out of range: "
                 "together they let a battery overflow to inf"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         return self
 
     # -- message accounting ------------------------------------------------

@@ -24,13 +24,15 @@ does; engine.slots_for_messages turns a message budget into n_slots.
 Both engines return a count of each Outcome per config, and _summarize is
 the one place that turns such a count into an OutageEstimate. Configs
 arrive validated: a SimConfig is checked when it is constructed, a run
-with no post-warmup message included; the harness checks its own knobs.
+with no post-warmup message included; the harness checks its own knobs
+with engine.check_number, the rule a SimConfig's fields pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import InitVar, dataclass, replace
 from typing import Sequence
 
@@ -39,10 +41,12 @@ import numpy as np
 from swiptrelay.engine import (
     BATCH_AXES,
     MRS,
+    POSITIVE_INT,
     SRS,
     Outcome,
     SimConfig,
     batch_key,
+    check_number,
     run_batch,
     run_trial,
     slots_for_messages,
@@ -56,6 +60,9 @@ from swiptrelay.errors import ConfigError
 # M = 10: 0.92x at K = 3), so no one threshold fits every N (both wait
 # for a bench workload of small groups that varies N)
 SCALAR_GROUP = {SRS: 3, MRS: 2}
+
+# a CI width in sigmas; an int past the largest float would overflow it
+_Z = (lambda z: 0 < z <= sys.float_info.max, "finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -72,14 +79,8 @@ def estimate_outage(
     config: SimConfig, z: float = 3.0, trace_path=None
 ) -> OutageEstimate:
     """Run one trial and summarize its post-warmup outage count."""
-    _check_z(z)
+    check_number("z", z, False, _Z)
     return _summarize(run_trial(config, trace_path=trace_path), z)
-
-
-def _check_z(z: float) -> None:
-    """Refuse a CI width that is not a finite positive number of sigmas."""
-    if not (math.isfinite(z) and z > 0):
-        raise ConfigError(f"z must be finite and > 0, got {z}")
 
 
 def _summarize(tally: dict[Outcome, int], z: float) -> OutageEstimate:
@@ -137,9 +138,8 @@ _GRID_AXES = (("n_relays", "n_relays"), ("etas", "eta"), ("ms", "m"), ("rates", 
 
 def _grid_configs(spec: SweepSpec) -> list[SimConfig]:
     base = spec.base
-    _check_z(spec.z)
-    if not isinstance(spec.workers, int) or spec.workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {spec.workers}")
+    check_number("z", spec.z, False, _Z)
+    check_number("workers", spec.workers, True, POSITIVE_INT)
     if spec.ms is not None and base.policy != MRS:
         raise ConfigError("ms axis requires policy 'mrs'")
     axes = []
@@ -268,10 +268,11 @@ def compare_policies(
     optimize_m or a sweep of one curve would run.
     """
     if rates is None:
-        if n_points < 2:
-            raise ConfigError(f"n_points must be >= 2, got {n_points}")
+        check_number("n_points", n_points, True, (lambda n: isinstance(n, int), "an integer"),
+                     (lambda n: n >= 2, ">= 2"))
         rates = np.linspace(0.5, 2.5, n_points).tolist()
-    rates = [float(r) for r in rates]
+    # refused as a sweep refuses it; float() keeps an int rate's CSV bytes
+    rates = [float(check_number("target_rate", r, False)) for r in rates]
     if not rates:
         raise ConfigError("rates must be non-empty")
     grid_rates = rates if base.target_rate in rates else [*rates, base.target_rate]

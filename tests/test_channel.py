@@ -12,7 +12,6 @@ from swiptrelay.channel import (
     gain_stream,
 )
 from swiptrelay.engine import SimConfig, _constants
-from swiptrelay.errors import ConfigError
 
 
 def test_dbw_to_watts():
@@ -102,14 +101,3 @@ def test_inversion_power_achieves_target_rate(gain, rate):
     power = inversion_power(rate, gain, 1.0, 1.0)
     achieved = link_rate(gain, power)
     assert achieved == pytest.approx(rate, rel=1e-9)
-
-
-def test_link_budget_validation():
-    for kw, key in (
-        (dict(noise_var=0.0), "noise_var"),
-        (dict(noise_var=-1.0), "noise_var"),
-        (dict(distance=0.0), "distance"),
-        (dict(distance=-2.0), "distance"),
-    ):
-        with pytest.raises(ConfigError, match=key):
-            SimConfig(**kw).validate()

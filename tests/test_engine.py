@@ -102,6 +102,10 @@ def mrs_cfg(**kw):
         (dict(n_slots=2, warmup_slots=1, schedule="duplex"), "^schedule"),
         # an unhashable value is refused, not a TypeError
         (dict(schedule=["framed"]), "^schedule"),
+        # negative values past a bound of 0
+        (dict(eta=-0.1), "eta"),
+        (dict(noise_var=-1.0), "noise_var"),
+        (dict(distance=-2.0), "distance"),
     ],
 )
 def test_config_validation_names_offending_key(kw, key):

@@ -230,6 +230,63 @@ def test_sweep_validates_harness_knobs():
         sweep(_spec(workers=0))
 
 
+# each harness knob's entry points, called with the knob set to a value
+SMALL = SimConfig(n_relays=2, n_slots=20)
+KNOB_CALLS = {
+    "z": [lambda z: estimate_outage(SMALL, z=z), lambda z: sweep(SweepSpec(SMALL, [1.0], z=z))],
+    "workers": [lambda w: sweep(SweepSpec(SMALL, [1.0], workers=w))],
+    "n_points": [lambda n: compare_policies(SMALL, n_points=n)],
+}
+
+
+@pytest.mark.parametrize(
+    "knob, value, refusal",
+    [
+        ("workers", True, "workers must be a number, got True"),
+        ("workers", np.int64(2), "workers must be a Python int, got 2 (int64)"),
+        ("z", True, "z must be a number, got True"),
+        ("z", "3", "z must be a number, got '3'"),
+        ("z", None, "z must be a number, got None"),
+        ("z", 10**400, f"z must be finite and > 0, got {10**400}"),
+        ("n_points", 2.5, "n_points must be an integer, got 2.5"),
+        ("n_points", "5", "n_points must be a number, got '5'"),
+        ("n_points", True, "n_points must be a number, got True"),
+    ],
+    ids=["workers-bool", "workers-int64", "z-bool", "z-str", "z-None", "z-huge-int",
+         "n_points-float", "n_points-str", "n_points-bool"],
+)
+def test_harness_knobs_refuse_what_a_config_field_refuses(knob, value, refusal):
+    for call in KNOB_CALLS[knob]:
+        with pytest.raises(ConfigError) as refused:
+            call(value)
+        assert str(refused.value) == refusal
+
+
+@pytest.mark.parametrize(
+    "key, edge, past",
+    [
+        ("eta", 0.0, -5e-324),
+        ("eta", 1.0, math.nextafter(1.0, 2.0)),
+        ("target_rate", 0.0, -5e-324),
+        ("initial_energy", 0.0, -5e-324),
+        ("sense_threshold", 0.0, -5e-324),
+        ("warmup_slots", 0, -1),
+        ("seed", 2**64 - 1, 2**64),
+        ("n_slots", 2**53, 2**53 + 1),
+        ("n_relays", 1, 0),
+        ("z", 5e-324, 0.0),
+        ("workers", 1, 0),
+        ("n_points", 2, 1),
+    ],
+)
+def test_each_bound_accepts_its_edge_and_refuses_the_next_value(key, edge, past):
+    calls = KNOB_CALLS.get(key, [lambda value: SimConfig(**{key: value})])
+    for call in calls:
+        call(edge)
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            call(past)
+
+
 @pytest.mark.parametrize(
     "messages, kind", [(True, "bool"), (1.5, "float"), (2.0, "float"), (np.int64(2), "int64"),
                        ("3", "str")],
@@ -301,6 +358,20 @@ def test_compare_refuses_empty_rates_before_it_runs_anything(monkeypatch):
         compare_policies(base, rates=[])
     with pytest.raises(ConfigError, match="^n_points must be >= 2, got 1$"):
         compare_policies(base, n_points=1)
+
+
+@pytest.mark.parametrize("rates, bad", [([True, "2"], True), ([1.0, "2"], "2")])
+def test_compare_refuses_a_rate_that_a_sweep_refuses(monkeypatch, rates, bad):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    monkeypatch.setattr(harness, "run_trial", refuse)
+    monkeypatch.setattr(harness, "run_batch", refuse)
+    for call in (lambda: compare_policies(SMALL, rates=rates),
+                 lambda: sweep(SweepSpec(SMALL, rates=[bad]))):
+        with pytest.raises(ConfigError) as refused:
+            call()
+        assert str(refused.value) == f"target_rate must be a number, got {bad!r}"
 
 
 def test_optimize_m_names_the_type_of_a_numpy_size():
