@@ -79,6 +79,7 @@ import json
 import math
 import numbers
 import struct
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -131,11 +132,11 @@ class Outcome(enum.Enum):
 
 
 def check_number(key: str, value, integer: bool, *rules):
-    """Return value, the number named key, or refuse it with a ConfigError:
-    a bool or what is not a real number, an int too long to print, a type
-    not built in where integer asks for a Python int, and then a value that
-    a (test, bound) rule fails, as "<key> must be <bound>, got <value>" (a
-    rule with a third item, True, leaves out the value)."""
+    """Return value, the number named key, or refuse it with a ConfigError,
+    the one rule for a single value: a bool or what is not a real number, an
+    int too long to print, a type not built in where integer asks for a
+    Python int, then what a (test, bound) rule fails, as "<key> must be
+    <bound>, got <value>" (a rule whose third item is True omits the value)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     try:  # the messages print the value: str() refuses an int of over 4300 digits
@@ -154,16 +155,35 @@ def check_number(key: str, value, integer: bool, *rules):
 # NaN slips through every range test, and inf through most; an int is
 # finite, and math.isfinite overflows on a large one
 _FINITE = (lambda v: isinstance(v, int) or math.isfinite(v), "finite")
+# a float field's _FINITE, which an int that no float holds fails too
+FINITE_FLOAT = (lambda v: abs(v) <= sys.float_info.max if isinstance(v, int) else math.isfinite(v),
+                "finite")
 POSITIVE_INT = (lambda v: isinstance(v, int) and v >= 1, "a positive integer")
 _POSITIVE = (lambda v: v > 0, "> 0")
 _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
-# each SimConfig number field's rules after _FINITE
+
+
+def _derived(derive, what: str) -> tuple:
+    """The rule that derive(v), a constant the engines use, is in (0, inf)."""
+    def test(v) -> bool:
+        try:
+            return 0.0 < derive(v) < math.inf
+        except OverflowError:
+            return False
+    return test, f"a value whose {what} is a float in (0, inf)"
+
+
+_WATTS = _derived(dbw_to_watts, "power in watts")
+# each SimConfig number field's rules after its finiteness rule
 _RULES = {
     "n_relays": (POSITIVE_INT,),
-    "target_rate": (_NON_NEGATIVE,),
+    "target_rate": (_NON_NEGATIVE, _derived(lambda r: 2.0 ** (2.0 * r), "2**(2 * rate)")),
     "eta": ((lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),),
+    "source_power_dbw": (_WATTS,),
+    "relay_power_dbw": (_WATTS,),
     "noise_var": (_POSITIVE,),
-    "distance": (_POSITIVE,),
+    # float(): an int squares exactly, past the largest float
+    "distance": (_POSITIVE, _derived(lambda d: float(d) ** PATH_LOSS_EXP, "square")),
     "slot_duration": (_POSITIVE,),
     "initial_energy": (_NON_NEGATIVE,),
     "sense_threshold": (_NON_NEGATIVE,),
@@ -183,7 +203,8 @@ class SimConfig:
 
     A config is frozen and validated on construction, so every instance,
     each one dataclasses.replace makes included, has passed validate(),
-    which checks each number field's _RULES in field order first.
+    which runs check_number on each number field in field order first, with
+    its _RULES (finiteness, range, derived constants), then the rest.
     """
 
     n_relays: int = 5
@@ -210,34 +231,18 @@ class SimConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type != "str" and not (value is None and f.default is None):
-                check_number(f.name, value, "int" in f.type, _FINITE, *_RULES.get(f.name, ()))
-        if self.policy not in (SRS, MRS):
-            raise ConfigError(f"policy must be '{SRS}' or '{MRS}', got {self.policy!r}")
-        if self.policy == MRS:
-            if self.m is None:
-                raise ConfigError("m required for mrs")
-            if not isinstance(self.m, int) or not 1 <= self.m <= self.n_relays:
-                raise ConfigError(f"m must be an integer in [1, n_relays], got {self.m}")
-        elif self.m is not None:
-            raise ConfigError("m is only valid for policy 'mrs'")
-        # constants the engines derive; overflow or underflow to 0 would
-        # surface there as OverflowError or ZeroDivisionError
-        for name, derive in (
-            ("source_power_dbw", lambda: dbw_to_watts(self.source_power_dbw)),
-            ("relay_power_dbw", lambda: dbw_to_watts(self.relay_power_dbw)),
-            ("distance", lambda: self.distance**PATH_LOSS_EXP),
-            ("target_rate", lambda: 2.0 ** (2.0 * self.target_rate)),
-        ):
-            try:
-                in_range = 0.0 < derive() < math.inf
-            except OverflowError:
-                in_range = False
-            if not in_range:
-                raise ConfigError(
-                    f"{name} out of range: {getattr(self, name)} makes a derived "
-                    "constant overflow or underflow to 0"
-                )
-        _period(self.schedule)
+                integer = "int" in f.type
+                check_number(f.name, value, integer, _FINITE if integer else FINITE_FLOAT,
+                             *_RULES.get(f.name, ()))
+        _check_choice("policy", self.policy, (SRS, MRS))
+        mrs = self.policy == MRS
+        if (self.m is None) == mrs:
+            raise ConfigError("m required for mrs" if mrs else "m is only valid for policy 'mrs'")
+        if mrs:
+            check_number("m", self.m, True,
+                         (lambda m: isinstance(m, int) and 1 <= m <= self.n_relays,
+                          "an integer in [1, n_relays]"))
+        _check_choice("schedule", self.schedule, PERIOD)
         if self.message_count() < 1:
             raise ConfigError(
                 f"warmup_slots out of range: {self.warmup_slots} of {self.n_slots} "
@@ -285,11 +290,11 @@ class SimConfig:
         return cls(**data)
 
 
-def _period(schedule) -> int:
-    """The schedule's PERIOD; a ConfigError refuses any other value."""
-    if schedule not in tuple(PERIOD):  # a tuple: an unhashable value is refused too
-        raise ConfigError(f"schedule must be '{PIPELINED}' or '{FRAMED}', got {schedule!r}")
-    return PERIOD[schedule]
+def _check_choice(key: str, value, choices):
+    """Return value if it is one of choices, else refuse it naming key."""
+    if value not in tuple(choices):  # a tuple: an unhashable value is refused too
+        raise ConfigError(f"{key} must be {' or '.join(map(repr, choices))}, got {value!r}")
+    return value
 
 
 class _Constants(NamedTuple):
@@ -365,14 +370,8 @@ def _link_terms(config: SimConfig, k: _Constants, g_sl, g_ld) -> tuple:
 
 def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
     """Slot count that yields exactly `messages` post-warmup messages."""
-    # a bool or numpy integer would pass the comparison below, a float would
-    # be refused later under n_slots, and a str would raise a TypeError
-    if isinstance(messages, bool) or not isinstance(messages, int):
-        kind = type(messages).__name__
-        raise ConfigError(f"messages must be a Python int, got {messages} ({kind})")
-    if messages < 1:
-        raise ConfigError(f"messages must be >= 1, got {messages}")
-    slots = warmup_slots + messages * _period(schedule)
+    check_number("messages", messages, True, POSITIVE_INT)
+    slots = warmup_slots + messages * PERIOD[_check_choice("schedule", schedule, PERIOD)]
     if slots > MAX_SLOTS:
         raise ConfigError("messages out of range: with the warmup they take more than 2**53 slots")
     return slots

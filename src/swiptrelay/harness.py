@@ -25,7 +25,7 @@ Both engines return a count of each Outcome per config, and _summarize is
 the one place that turns such a count into an OutageEstimate. Configs
 arrive validated: a SimConfig is checked when it is constructed, a run
 with no post-warmup message included; the harness checks its own knobs
-with engine.check_number, the rule a SimConfig's fields pass.
+and compare_policies' rates with engine.check_number, as SimConfig does.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import numpy as np
 
 from swiptrelay.engine import (
     BATCH_AXES,
+    FINITE_FLOAT,
     MRS,
     POSITIVE_INT,
     SRS,
@@ -272,7 +273,7 @@ def compare_policies(
                      (lambda n: n >= 2, ">= 2"))
         rates = np.linspace(0.5, 2.5, n_points).tolist()
     # refused as a sweep refuses it; float() keeps an int rate's CSV bytes
-    rates = [float(check_number("target_rate", r, False)) for r in rates]
+    rates = [float(check_number("target_rate", r, False, FINITE_FLOAT)) for r in rates]
     if not rates:
         raise ConfigError("rates must be non-empty")
     grid_rates = rates if base.target_rate in rates else [*rates, base.target_rate]

@@ -106,6 +106,11 @@ def mrs_cfg(**kw):
         (dict(eta=-0.1), "eta"),
         (dict(noise_var=-1.0), "noise_var"),
         (dict(distance=-2.0), "distance"),
+        # the choice rule, byte for byte; an unhashable value is refused too
+        (dict(policy="x"), r"^policy must be 'srs' or 'mrs', got 'x'$"),
+        (dict(policy=["srs"]), r"^policy must be 'srs' or 'mrs', got \['srs'\]$"),
+        # a field's derived constant is its own rule, named before policy
+        (dict(policy="x", source_power_dbw=4000.0), "^source_power_dbw must be "),
     ],
 )
 def test_config_validation_names_offending_key(kw, key):
@@ -157,12 +162,24 @@ FLOAT_FIELDS = [f.name for f in fields(SimConfig) if "float" in str(f.type)]
     [math.nan, math.inf, -math.inf,
      # a Real that is not a float: each slipped past a float-only check
      pytest.param(np.float32("nan"), id="float32-nan"),
-     pytest.param(np.float32("inf"), id="float32-inf")],
+     pytest.param(np.float32("inf"), id="float32-inf"),
+     # an int that no float holds: each field's float() would overflow
+     pytest.param(10**400, id="huge-int"),
+     pytest.param(-10**400, id="-huge-int")],
 )
 @pytest.mark.parametrize("key", FLOAT_FIELDS)
 def test_config_validation_refuses_non_finite_floats(key, value):
     with pytest.raises(ConfigError, match=f"^{key} must be finite"):
         SimConfig(**{key: value}).validate()
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_config_validation_accepts_a_finite_numpy_float_without_a_warning(key):
+    # a bound of the largest float, compared with a float32, is cast to
+    # float32: it overflows to inf with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert getattr(SimConfig(**{key: np.float32(1.0)}), key) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -174,6 +191,7 @@ def test_config_validation_refuses_non_finite_floats(key, value):
         (dict(distance=1e-200), "distance"),                    # square underflows to 0
         (dict(distance=1e200), "distance"),                     # square overflows
         (dict(target_rate=600.0), "target_rate"),               # 2**(2R) overflows
+        (dict(distance=10**200), "^distance"),                  # an int squares exactly
     ],
 )
 def test_config_validation_refuses_out_of_range_derived_constants(kw, key):

@@ -288,17 +288,26 @@ def test_each_bound_accepts_its_edge_and_refuses_the_next_value(key, edge, past)
 
 
 @pytest.mark.parametrize(
-    "messages, kind", [(True, "bool"), (1.5, "float"), (2.0, "float"), (np.int64(2), "int64"),
-                       ("3", "str")],
+    "messages, refusal",
+    [pytest.param(True, "messages must be a number, got True", id="True-bool"),
+     pytest.param(1.5, "messages must be a positive integer, got 1.5", id="1.5-float"),
+     pytest.param(2.0, "messages must be a positive integer, got 2.0", id="2.0-float"),
+     pytest.param(np.int64(2), "messages must be a Python int, got 2 (int64)",
+                  id="messages3-int64"),
+     pytest.param("3", "messages must be a number, got '3'", id="3-str"),
+     # str() of an int over 4300 digits raises ValueError; the refusal must not
+     pytest.param(10**5000, "messages out of range: an integer of 16610 bits", id="huge-int"),
+     pytest.param(-10**5000, "messages out of range: an integer of 16610 bits", id="-huge-int")],
 )
-def test_a_message_count_that_is_not_an_int_is_refused_naming_messages(messages, kind):
-    refusal = rf"^messages must be a Python int, got {messages} \({kind}\)$"
-    with pytest.raises(ConfigError, match=refusal):
-        slots_for_messages(messages, 0, "pipelined")
-    with pytest.raises(ConfigError, match=refusal):
-        SweepSpec(SimConfig(n_slots=10), messages=messages)
-    with pytest.raises(ConfigError, match=r"^messages must be >= 1, got 0$"):
+def test_a_message_count_that_is_not_an_int_is_refused_naming_messages(messages, refusal):
+    for call in (lambda: slots_for_messages(messages, 0, "pipelined"),
+                 lambda: SweepSpec(SimConfig(n_slots=10), messages=messages)):
+        with pytest.raises(ConfigError) as refused:
+            call()
+        assert str(refused.value) == refusal
+    with pytest.raises(ConfigError) as refused:
         slots_for_messages(0, 0, "framed")
+    assert str(refused.value) == "messages must be a positive integer, got 0"
 
 
 def test_sweep_messages_sets_the_base_run_length():
@@ -360,8 +369,15 @@ def test_compare_refuses_empty_rates_before_it_runs_anything(monkeypatch):
         compare_policies(base, n_points=1)
 
 
-@pytest.mark.parametrize("rates, bad", [([True, "2"], True), ([1.0, "2"], "2")])
-def test_compare_refuses_a_rate_that_a_sweep_refuses(monkeypatch, rates, bad):
+@pytest.mark.parametrize(
+    "rates, bad, refusal",
+    [pytest.param([True, "2"], True, "target_rate must be a number, got True", id="rates0-True"),
+     pytest.param([1.0, "2"], "2", "target_rate must be a number, got '2'", id="rates1-2"),
+     # float() of an int past the largest float overflows
+     pytest.param([10**400], 10**400, f"target_rate must be finite, got {10**400}",
+                  id="rates2-huge-int")],
+)
+def test_compare_refuses_a_rate_that_a_sweep_refuses(monkeypatch, rates, bad, refusal):
     def refuse(*args, **kwargs):
         raise AssertionError("an engine ran")
 
@@ -371,7 +387,7 @@ def test_compare_refuses_a_rate_that_a_sweep_refuses(monkeypatch, rates, bad):
                  lambda: sweep(SweepSpec(SMALL, rates=[bad]))):
         with pytest.raises(ConfigError) as refused:
             call()
-        assert str(refused.value) == f"target_rate must be a number, got {bad!r}"
+        assert str(refused.value) == refusal
 
 
 def test_optimize_m_names_the_type_of_a_numpy_size():
