@@ -47,10 +47,10 @@ bytes differ, field by field (see its docstring).
 
 Two engines step this state machine, and both return the same shape: a
 count of each Outcome over the post-warmup messages, every key present.
-Both take what does not read a battery from _harvest and _link_terms: per
-relay its harvest if idle, whether it decodes, and whether its srs
-forward arrives or its mrs forward's inversion power and energy, the
-zero-gain rule included. _Trial (via run_trial) runs one config on
+Both take what does not read a battery from _harvest and _link_terms
+(whose mrs half is _inversion): per relay its harvest if idle, whether it
+decodes, and whether its srs forward arrives or its mrs forward's
+inversion power and energy, the zero-gain rule included. _Trial (via run_trial) runs one config on
 battery floats; it alone writes and replays traces and checks the
 per-slot energy ledger. Its slot_terms derives a gain block at a time,
 and one slot loop, run, does the battery work for untraced, traced,
@@ -62,10 +62,10 @@ DESIGNATE is one rule in both engines, a stable ranking by battery: the m
 richest free relays listen, m = 1 for srs, whose listener must also
 afford the fixed cost.
 run_batch runs K configs that share one gain field and differ only in
-BATCH_AXES (m and target_rate) in lockstep, on one path too: constants
-are (K, 1) columns, batteries and decoder sets rows of (K, N) arrays, and
-every row equals run_trial's count. The harness picks the engine by
-group size (harness.SCALAR_GROUP).
+policy and BATCH_AXES (m and target_rate) in lockstep, on one path too:
+constants are (K, 1) columns, batteries and decoder sets rows of (K, N)
+arrays, each row carries its policy, and every row equals run_trial's
+count. The harness picks the engine by group size (harness.SCALAR_GROUP).
 """
 
 from __future__ import annotations
@@ -164,10 +164,11 @@ _NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 
 
 def _derived(derive, what: str) -> tuple:
-    """The rule that derive(v), a constant the engines use, is in (0, inf)."""
+    """The rule that derive(float(v)), a constant the engines use, is in
+    (0, inf): in float64, as the engines derive it from the stored value."""
     def test(v) -> bool:
         try:
-            return 0.0 < derive(v) < math.inf
+            return 0.0 < derive(float(v)) < math.inf
         except OverflowError:
             return False
     return test, f"a value whose {what} is a float in (0, inf)"
@@ -182,8 +183,7 @@ _RULES = {
     "source_power_dbw": (_WATTS,),
     "relay_power_dbw": (_WATTS,),
     "noise_var": (_POSITIVE,),
-    # float(): an int squares exactly, past the largest float
-    "distance": (_POSITIVE, _derived(lambda d: float(d) ** PATH_LOSS_EXP, "square")),
+    "distance": (_POSITIVE, _derived(lambda d: d**PATH_LOSS_EXP, "square")),
     "slot_duration": (_POSITIVE,),
     "initial_energy": (_NON_NEGATIVE,),
     "sense_threshold": (_NON_NEGATIVE,),
@@ -204,7 +204,9 @@ class SimConfig:
     A config is frozen and validated on construction, so every instance,
     each one dataclasses.replace makes included, has passed validate(),
     which runs check_number on each number field in field order first, with
-    its _RULES (finiteness, range, derived constants), then the rest.
+    its _RULES (finiteness, range, derived constants), then the rest. A
+    float field stores float(value) for any value but a Python int, which
+    computes exactly as given.
     """
 
     n_relays: int = 5
@@ -234,6 +236,9 @@ class SimConfig:
                 integer = "int" in f.type
                 check_number(f.name, value, integer, _FINITE if integer else FINITE_FLOAT,
                              *_RULES.get(f.name, ()))
+                if not (integer or isinstance(value, int)):
+                    # a numpy float32 would make the engines compute in float32
+                    object.__setattr__(self, f.name, float(value))
         _check_choice("policy", self.policy, (SRS, MRS))
         mrs = self.policy == MRS
         if (self.m is None) == mrs:
@@ -360,12 +365,17 @@ def _link_terms(config: SimConfig, k: _Constants, g_sl, g_ld) -> tuple:
     decodes = g_sl >= k.decode_min
     if config.policy == SRS:
         return decodes, g_ld >= k.forward_min, None
+    return decodes, *_inversion(config, k, g_ld)
+
+
+def _inversion(config: SimConfig, k: _Constants, g_ld) -> tuple:
+    """Each mrs forward's inversion power over g_ld, and its energy."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         power = k.numerator / g_ld
         # 0 / 0 is nan, which would win a margin's argmax: the numerator is 0
         # at rate 0 and where it underflows (numerator / 0 is inf already)
         np.copyto(power, k.zero_gain_power, where=g_ld == 0)
-        return decodes, power, power * config.slot_duration  # a finite power may cost inf J
+        return power, power * config.slot_duration  # a finite power may cost inf J
 
 
 def slots_for_messages(messages: int, warmup_slots: int, schedule: str) -> int:
@@ -647,29 +657,34 @@ _OUTCOMES = tuple(Outcome)
 _SUCCESS, _NO_CANDIDATE, _DECODE_FAIL, _NO_DECODER, _NO_FEASIBLE = map(
     np.int8, range(len(_OUTCOMES))
 )
-_any = np.logical_or.reduce  # ndarray.any without its Python-level wrapper
 
 
 def batch_key(config: SimConfig) -> tuple:
-    """Every field but m and target_rate: configs with equal keys share a
-    gain field and can run in one run_batch."""
+    """Every field but policy, m and target_rate: configs with equal keys
+    share a gain field and can run in one run_batch."""
     return tuple(
-        getattr(config, f.name) for f in fields(config) if f.name not in BATCH_AXES
+        getattr(config, f.name) for f in fields(config)
+        if f.name != "policy" and f.name not in BATCH_AXES
     )
 
 
 def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
-    """Simulate configs that differ only in m and target_rate, in lockstep.
+    """Simulate configs that differ only in policy, m and target_rate, in
+    lockstep.
 
     Returns, per config, the count of each Outcome over its post-warmup
-    messages: exactly run_trial(config): its slot terms come from _Trial's
-    _harvest and _link_terms, on _Trial's constants as (K, 1) columns, and
-    ties break toward the lowest relay id as in _Trial.
+    messages: exactly run_trial(config): its slot terms are _link_terms'
+    tests and _harvest's and _inversion's floats, on _Trial's constants as
+    (K, 1) columns, and ties break toward the lowest relay id as in _Trial. Each row carries its
+    policy: an srs row pays fixed_cost, has M = 1, listens only where its
+    relay can pay and succeeds only where the forward arrives; an mrs row
+    pays the inversion energy.
 
-    What does not read the batteries (inversion costs, decode and arrival
-    masks) is derived for CHUNK slots at a time; each slot then makes one
-    numpy call per battery-dependent step. Outcomes are kept as per-message
-    flags and turned into codes once per gain block.
+    What does not read the batteries (inversion costs, decode masks) is
+    derived for CHUNK slots at a time; each slot then makes one numpy call
+    per battery-dependent step. Outcomes are kept as per-message flags and
+    turned into codes once per gain block, where each srs forward's arrival
+    is read off the payer stored for its message.
     """
     if not configs:
         raise ConfigError("run_batch needs at least one config")
@@ -677,92 +692,105 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
     key = batch_key(first)
     for cfg in configs[1:]:
         if batch_key(cfg) != key:
-            raise ConfigError("run_batch configs may differ only in m and target_rate")
+            raise ConfigError("run_batch configs may differ only in policy, m and target_rate")
     k, n = len(configs), first.n_relays
-    mrs, period = first.policy == MRS, PERIOD[first.schedule]
-    n_slots = first.n_slots
+    period, n_slots = PERIOD[first.schedule], first.n_slots
+    is_srs = np.array([c.policy == SRS for c in configs])
+    srs_rows = np.flatnonzero(is_srs)
     rows = [_constants(c) for c in configs]
     columns = _Constants(*np.array(rows).T[:, :, None])  # each a (K, 1) column
     shared = rows[0]
     fixed_cost = shared.fixed_cost
-    # the relay at rank r of a row's order listens iff r < m
-    top = np.arange(n) < np.array([[c.m if mrs else 1] for c in configs])
-    if mrs:
-        # a message that tried and failed had decoders; one that did not, none
-        tried_fail, untried_fail = _NO_FEASIBLE, _NO_DECODER
-    else:
-        # tried: the message had a listener
-        tried_fail, untried_fail = _DECODE_FAIL, _NO_CANDIDATE
-        costs = [fixed_cost] * CHUNK  # each slot of a chunk pays the fixed cost
+    forward_min = columns.forward_min[srs_rows, 0]  # read at block end
+    # the relay at rank r of a row's order listens iff r < m, 1 for srs
+    top = np.arange(n) < np.array([[1 if c.policy == SRS else c.m] for c in configs])
+    # a relay listens iff its rank is below its row's bound: a busy relay
+    # ranks +inf, a free one -battery, and -battery < nextafter(-fixed_cost,
+    # inf) iff battery >= fixed_cost, so an srs listener can pay its forward
+    bound = np.full((k, n), np.inf)
+    bound[srs_rows] = math.nextafter(-fixed_cost, math.inf)
+    # per row, the code of a failed message that had a listener (srs) or a
+    # decoder (mrs), and of one that had none
+    tried_fail = np.where(is_srs, _DECODE_FAIL, _NO_FEASIBLE).astype(np.int8)
+    untried_fail = np.where(is_srs, _NO_CANDIDATE, _NO_DECODER).astype(np.int8)
+    # each slot of a chunk pays the fixed cost; mrs rows replace it per chunk
+    costs = [fixed_cost] * CHUNK
 
     battery = np.full((k, n), shared.initial_energy)
-    # battery[row, relay] is battery.flat[offsets[row] + relay]
+    # battery[row, relay] is battery_cells[offsets[row] + relay]
+    battery_cells = battery.reshape(-1)
     offsets = np.arange(0, k * n, n)
     row_cells = np.repeat(offsets, n).reshape(k, n)  # offsets[:, None], in full
-    listening = np.empty((k, n), bool)
+    # a broadcast's listeners, then those that decoded (read by the next FORWARD)
+    heard = np.zeros((2, k, n), bool)
+    listening, decoders = heard
     listening_cells = listening.reshape(-1)
-    spent = np.empty((k, n), bool)  # the relays that paid this slot's forward
-    spent_cells = spent.reshape(-1)
-    free = np.ones((k, n), bool)  # every relay is available in a slot without a forward
-    # where's fill values, in full: numpy broadcasts a scalar more slowly
-    plus_inf, minus_inf = np.full((k, n), np.inf), np.full((k, n), -np.inf)
+    rank = np.empty((k, n))
+    rank_cells = rank.reshape(-1)
+    idle = np.empty((k, n), bool)  # neither listening nor forwarding
+    idle_cells = idle.reshape(-1)
+    # where's fill value, in full: numpy broadcasts a scalar more slowly
+    minus_inf = np.full((k, n), -np.inf)
+    nobody = offsets[:0]  # the cells that pay in a slot without a forward
+    every = np.ones(n, bool)  # heard @ every: bool matmul, any along a row
     # the pending message is always the last one broadcast: message - 1
     pending = False
     # one gain block's per-message flags: row i is message held + i
     flag_rows = (min(GAIN_BLOCK, n_slots) + 1, k)
-    succeeded = np.zeros(flag_rows, bool)   # paid, and for srs arrived
-    tried = np.zeros(flag_rows, bool)       # had a decoder (mrs) or a listener (srs)
-    unresolved = np.zeros(flag_rows, bool)  # broadcast and awaiting its forward
+    succeeded = np.zeros(flag_rows, bool)   # paid, and for srs (at block end) arrived
+    # had a listener, and had a decoder: a failed srs message was tried if
+    # it had a listener, an mrs one if it had a decoder
+    tried = np.zeros((flag_rows[0], 2, k), bool)
+    payers = np.zeros(flag_rows, np.intp)   # the best decoder: the relay that paid, if any
     counts = np.zeros((k, len(_OUTCOMES)), np.int64)
     # row r's outcome codes count at r * len(_OUTCOMES) + code
     code_base = np.arange(0, counts.size, len(_OUTCOMES))
     warmup = first.broadcasts(first.warmup_slots)
-    message = held = slot = 0
+    message = held = slot = forwards = 0
     for gains in _gain_draws(first):
         harvest = _harvest(first, shared, gains[:, :n])
         g_sl, g_ld = gains[:, None, :n], gains[:, None, n:]  # slot, row, relay
+        start = slot
         for b in range(len(gains)):
             if slot >= n_slots and not pending:
                 break
             j = b % CHUNK
             if j == 0:
                 chunk = slice(b, b + CHUNK)
-                decodes, link, energy = _link_terms(first, columns, g_sl[chunk], g_ld[chunk])
-                if mrs:
-                    costs = energy
-            available = free
+                decodes = g_sl[chunk] >= columns.decode_min
+                if srs_rows.size < k:
+                    costs = _inversion(first, columns, g_ld[chunk])[1]
+                    costs[:, srs_rows] = fixed_cost
+            paid = nobody
             # 1. FORWARD
             if pending:
                 row = message - 1 - held
-                spare = battery - costs[j]
-                margin = np.where(decoders, spare, minus_inf)
-                payer = offsets + margin.argmax(1)
+                # each decoder's battery left after its forward, -inf for
+                # the others
+                margin = np.where(decoders, battery - costs[j], minus_inf)
+                payer = offsets + margin.argmax(1, out=payers[row])
                 # the best decoder pays iff its margin is >= 0, so no payer
                 # overdraws; a message without decoders is not forwarded
-                pays = np.greater_equal(margin.take(payer), 0.0, out=succeeded[row])
-                spent.fill(False)
-                spent_cells[payer] = pays
-                np.putmask(battery, spent, spare)
-                available = ~spent
-                if not mrs:  # a fixed-power forward must also arrive
-                    pays &= link[j].take(payer)
-                unresolved[row] = False
+                best = margin.take(payer)
+                pays = np.greater_equal(best, 0.0, out=succeeded[row])
+                paid = payer[pays]
+                battery_cells[paid] = best[pays]
+                forwards += 1
                 pending = False
             # 2. DESIGNATE + 3. BROADCAST
             if slot < n_slots and not slot % period:
                 row = message - held
+                np.negative(battery, out=rank)
+                rank_cells[paid] = np.inf  # the forwarder is busy
                 # stable: equal batteries rank by relay id
-                rank = np.where(available, -battery, plus_inf)
                 listening_cells[rank.argsort(1, kind="stable") + row_cells] = top
-                listening &= available
-                if not mrs:  # a listener must afford its forward
-                    listening &= battery >= fixed_cost
-                decoders = listening & decodes[j]  # read by the next FORWARD
-                _any(decoders if mrs else listening, 1, out=tried[row])
-                unresolved[row] = True
+                listening &= rank < bound
+                np.logical_and(listening, decodes[j], out=decoders)
+                np.matmul(heard, every, out=tried[row])
                 pending = True
                 # idle relays harvest; listeners and the forwarder do not
-                idle = available ^ listening
+                np.logical_not(listening, out=idle)
+                idle_cells[paid] = False
                 # a busy relay adds harvest * False, +0.0: its battery stays
                 battery += harvest[b] * idle
                 message += 1
@@ -770,15 +798,21 @@ def run_batch(configs: Sequence[SimConfig]) -> list[dict[Outcome, int]]:
         # tally the resolved messages; a pending one moves to row 0
         last = message - 1 if pending else message
         counted = slice(max(warmup - held, 0), last - held)
-        if _any(unresolved[counted], None):
+        if forwards != last:  # each message broadcast but the pending one forwarded
             raise InvariantError("a message was left without an outcome")
-        codes = np.full(succeeded[counted].shape, untried_fail, np.int8)
-        np.copyto(codes, tried_fail, where=tried[counted])
+        if srs_rows.size:
+            # a fixed-power forward must also arrive: message held + i,
+            # broadcast in slot (held + i) * period, forwards in the next
+            sent = np.arange(held + counted.start, held + counted.stop) * period + 1 - start
+            relays = payers[counted][:, srs_rows]
+            succeeded[counted, srs_rows] &= gains[sent[:, None], n + relays] >= forward_min
+        had = np.where(is_srs, tried[counted, 0], tried[counted, 1])
+        codes = np.where(had, tried_fail, untried_fail)
         np.copyto(codes, _SUCCESS, where=succeeded[counted])
         counts += np.bincount((codes + code_base).ravel(), minlength=counts.size).reshape(k, -1)
-        for flags in (succeeded, tried, unresolved):
-            flags[0] = flags[last - held] if pending else False
-            flags[1:] = False
+        # every other row is written before it is read again
+        if pending:
+            tried[0] = tried[last - held]
         held = last
     return [dict(zip(_OUTCOMES, row)) for row in counts.tolist()]
 

@@ -15,8 +15,9 @@ process pool only when there are two or more of them and more than one
 worker; otherwise they run in this process. The pool machinery
 (concurrent.futures, multiprocessing, logging) is imported only when a
 sweep starts a pool, so no other command or caller loads it.
-compare_policies is one mrs sweep over M = 1..N x rates (M* and both mrs
-curves) plus the srs curve: two jobs on one gain field.
+compare_policies runs the mrs grid over M = 1..N x rates (M* and both mrs
+curves) and the srs curve as one job: they share one gain field, and
+run_batch steps rows of both policies together.
 
 Every grid point runs for its base config's n_slots, as estimate_outage
 does; engine.slots_for_messages turns a message budget into n_slots.
@@ -25,7 +26,8 @@ Both engines return a count of each Outcome per config, and _summarize is
 the one place that turns such a count into an OutageEstimate. Configs
 arrive validated: a SimConfig is checked when it is constructed, a run
 with no post-warmup message included; the harness checks its own knobs
-and compare_policies' rates with engine.check_number, as SimConfig does.
+with engine.check_number, as SimConfig does, and compare_policies' rates
+with the SimConfig a sweep would build of each.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import numpy as np
 
 from swiptrelay.engine import (
     BATCH_AXES,
-    FINITE_FLOAT,
     MRS,
     POSITIVE_INT,
     SRS,
@@ -55,8 +56,8 @@ from swiptrelay.engine import (
 from swiptrelay.errors import ConfigError
 
 # per policy, the largest job that runs as separate run_trial calls: on a
-# 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 4.0x, 2.7x, 2.1x,
-# 1.75x (srs, N = 5) and 2.1x, 1.43x, 1.08x, 0.92x (mrs, N = 10, M = 4)
+# 2-core VM a lockstep run of K = 2, 3, 4, 5 points costs 3.0x, 2.1x, 1.59x,
+# 1.33x (srs, N = 5) and 1.91x, 1.25x, 0.97x, 0.84x (mrs, N = 10, M = 4)
 # the K scalar runs; the break-even K falls as N grows (mrs, N = 20,
 # M = 10: 0.92x at K = 3), so no one threshold fits every N (both wait
 # for a bench workload of small groups that varies N)
@@ -203,14 +204,19 @@ class MStarResult:
     results: list[SweepResult]
 
 
-def _mrs_grid(base: SimConfig, ms: Sequence[int], rates: list[float], z: float,
-              workers: int) -> tuple[int, list[list[SweepResult]]]:
-    """One mrs sweep over ms x rates on one gain field. Returns M*, the size
-    of least outage at base.target_rate (one of rates), and each size's row."""
-    results = sweep(SweepSpec(base=replace(base, policy=MRS, m=ms[0]), rates=rates, ms=ms,
-                              z=z, workers=workers))
+def _mrs_spec(base: SimConfig, ms: Sequence[int], rates: list[float], z: float,
+              workers: int) -> SweepSpec:
+    """The mrs sweep over ms x rates around base, on one gain field."""
+    return SweepSpec(base=replace(base, policy=MRS, m=ms[0]), rates=rates, ms=ms, z=z,
+                     workers=workers)
+
+
+def _m_star(spec: SweepSpec, results: list[SweepResult]) -> tuple[int, list[list[SweepResult]]]:
+    """M*, the size of least outage at the base's rate (one of the spec's
+    rates), and each size's row of the spec's results."""
+    ms, rates = spec.ms, spec.rates
     rows = [results[i:i + len(rates)] for i in range(0, len(results), len(rates))]
-    at_base = rates.index(base.target_rate)
+    at_base = rates.index(spec.base.target_rate)
     best = min(range(len(ms)), key=lambda i: (rows[i][at_base].estimate.p_hat, ms[i]))
     return ms[best], rows
 
@@ -231,7 +237,8 @@ def optimize_m(
     m_values = list(m_values)
     if not m_values:
         raise ConfigError("m_values must be non-empty")
-    m_star, rows = _mrs_grid(base, m_values, [base.target_rate], z, workers)
+    spec = _mrs_spec(base, m_values, [base.target_rate], z, workers)
+    m_star, rows = _m_star(spec, sweep(spec))
     return MStarResult(m_star, [row[0] for row in rows])
 
 
@@ -262,10 +269,11 @@ def compare_policies(
 ) -> PolicyComparison:
     """Estimate outage vs rate for srs, mrs with M=1, and mrs with M=M*.
 
-    One mrs sweep over M = 1..N x the rates gives M*, chosen at the base
+    The mrs grid over M = 1..N x the rates gives M*, chosen at the base
     config's target rate (a column added if the rates lack it), and both
-    mrs curves; one srs sweep gives the srs curve. Every point shares one
-    gain field, so ordering checks are paired, and each config is the one
+    mrs curves; the srs curve runs over the rates. Every point shares one
+    gain field, so ordering checks are paired, and the grid and the curve
+    are one job, stepped in one lockstep run; each config is the one
     optimize_m or a sweep of one curve would run.
     """
     if rates is None:
@@ -273,13 +281,19 @@ def compare_policies(
                      (lambda n: n >= 2, ">= 2"))
         rates = np.linspace(0.5, 2.5, n_points).tolist()
     # refused as a sweep refuses it; float() keeps an int rate's CSV bytes
-    rates = [float(check_number("target_rate", r, False, FINITE_FLOAT)) for r in rates]
+    rates = [float(replace(base, target_rate=r).target_rate) for r in rates]
     if not rates:
         raise ConfigError("rates must be non-empty")
     grid_rates = rates if base.target_rate in rates else [*rates, base.target_rate]
-    m_star, rows = _mrs_grid(base, range(1, base.n_relays + 1), grid_rates, z, workers)
+    grid_spec = _mrs_spec(base, range(1, base.n_relays + 1), grid_rates, z, workers)
+    grid = _grid_configs(grid_spec)
+    configs = grid + _grid_configs(SweepSpec(replace(base, policy=SRS, m=None), rates, z=z,
+                                             workers=workers))
+    # crn gives both one seed, and run_batch steps both policies together
+    results = [SweepResult(c, e) for c, e in zip(configs, _estimate_job((configs, z)))]
+    m_star, rows = _m_star(grid_spec, results[:len(grid)])
     single, star = rows[0][:len(rates)], rows[m_star - 1][:len(rates)]
-    srs = sweep(SweepSpec(replace(base, policy=SRS, m=None), rates, z=z, workers=workers))
+    srs = results[len(grid):]
     single_ok, star_ok = [], []
     for point in zip(srs, single, star):
         p_srs, p_one, p_star = (r.estimate for r in point)

@@ -183,6 +183,24 @@ def test_config_validation_accepts_a_finite_numpy_float_without_a_warning(key):
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("target_rate", np.float32(100.0)),        # 2**200 overflows a float32
+     ("source_power_dbw", np.float32(400.0)),   # as do its 1e40 W
+     ("eta", np.float16(0.5))],                 # a battery's peak overflows a float16
+)
+def test_a_float32_or_float16_value_computes_as_its_python_float(key, value):
+    """A float field stores float(value), so validate's derived constants
+    and the engines compute in float64, as for the Python float."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = SimConfig(n_slots=300, **{key: value})
+        twin = SimConfig(n_slots=300, **{key: float(value)})
+        assert type(getattr(cfg, key)) is float
+        assert cfg == twin
+        assert run_trial(cfg) == run_trial(twin)
+
+
+@pytest.mark.parametrize(
     "kw,key",
     [
         (dict(source_power_dbw=4000.0), "source_power_dbw"),    # watts overflow
@@ -1282,19 +1300,17 @@ def test_block_draws_equal_per_slot_draws(n):
 
 @st.composite
 def gain_field_groups(draw):
-    """One to six configs that share a gain field and every field but m and
-    target_rate, over both policies and schedules and the edge values. The
-    warmup leaves a post-warmup message: a framed run of even n_slots
-    broadcasts last in slot n_slots - 2."""
+    """One to six configs that share a gain field and every field but
+    policy, m and target_rate, over srs, mrs and mixed groups, both
+    schedules and the edge values. The warmup leaves a post-warmup message:
+    a framed run of even n_slots broadcasts last in slot n_slots - 2."""
     n = draw(st.integers(1, 8))
-    policy = draw(st.sampled_from(["srs", "mrs"]))
+    policies = draw(st.sampled_from([["srs"], ["mrs"], ["srs", "mrs"]]))
     n_slots = draw(st.integers(1, 120))
     schedule = draw(st.sampled_from(["pipelined", "framed"]))
     last_warmup = n_slots - 1 if schedule == "pipelined" else (n_slots - 1) // 2 * 2
     base = SimConfig(
         n_relays=n,
-        policy=policy,
-        m=1 if policy == "mrs" else None,
         eta=draw(st.sampled_from([0.0, 0.02, 0.1, 0.5, 1.0])),
         source_power_dbw=draw(st.sampled_from([0.0, 10.0, 13.0])),
         relay_power_dbw=draw(st.sampled_from([0.0, 10.0])),
@@ -1309,9 +1325,10 @@ def gain_field_groups(draw):
         schedule=schedule,
     )
     rate = st.one_of(st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.0]), st.floats(0.0, 3.0))
-    m = st.integers(1, n) if policy == "mrs" else st.none()
-    rows = draw(st.lists(st.tuples(m, rate), min_size=1, max_size=6))
-    return [replace(base, m=row_m, target_rate=row_rate) for row_m, row_rate in rows]
+    policy_m = st.sampled_from(policies).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(1, n) if p == "mrs" else st.none()))
+    rows = draw(st.lists(st.tuples(policy_m, rate), min_size=1, max_size=6))
+    return [replace(base, policy=p, m=m, target_rate=r) for (p, m), r in rows]
 
 
 def _coarse_draw(rng, size):
@@ -1516,14 +1533,16 @@ def test_run_batch_memory_does_not_grow_with_the_message_count():
 
 
 def test_run_batch_memory_on_the_compare_grid():
-    """compare's mrs grid, M = 1..10 x 5 rates at N = 10 over 2000 slots,
-    peaks near 0.5 MiB: its per-message flags and codes are bool and int8,
-    kept for one 256-slot gain block. With 2000-slot blocks it peaked near
-    1.1 MiB, and int64 codes, which np.where makes of Python-int codes,
-    added 0.8 MiB."""
+    """compare's group, the mrs grid over M = 1..10 x 5 rates and the srs
+    curve over the 5 rates at N = 10 over 2000 slots, peaks near 0.5 MiB:
+    its per-message flags and codes are bool and int8, kept for one
+    256-slot gain block. With 2000-slot blocks the mrs grid alone peaked
+    near 1.1 MiB, and int64 codes, which np.where makes of Python-int
+    codes, added 0.8 MiB."""
     base = SimConfig(n_relays=10, policy="mrs", m=1, eta=0.05, n_slots=2000, seed=7)
-    configs = [replace(base, m=m, target_rate=rate)
-               for m in range(1, 11) for rate in (0.5, 1.0, 1.5, 2.0, 2.5)]
+    rates = (0.5, 1.0, 1.5, 2.0, 2.5)
+    configs = [replace(base, m=m, target_rate=rate) for m in range(1, 11) for rate in rates]
+    configs += [replace(base, policy="srs", m=None, target_rate=rate) for rate in rates]
     run_batch(configs)  # numpy's one-time allocations are not the run's
     tracemalloc.start()
     try:
@@ -1551,5 +1570,8 @@ def test_run_batch_refuses_configs_outside_one_gain_field():
         run_batch([SimConfig(seed=1), SimConfig(seed=2)])
     with pytest.raises(ConfigError, match="m and target_rate"):
         run_batch([SimConfig(eta=0.1), SimConfig(eta=0.2)])
+    # the policy is a row's own, as m and target_rate are
+    configs = [SimConfig(n_slots=300), SimConfig(policy="mrs", m=2, n_slots=300)]
+    assert run_batch(configs) == [run_trial(cfg) for cfg in configs]
     with pytest.raises(ConfigError, match="at least one"):
         run_batch([])

@@ -375,7 +375,11 @@ def test_compare_refuses_empty_rates_before_it_runs_anything(monkeypatch):
      pytest.param([1.0, "2"], "2", "target_rate must be a number, got '2'", id="rates1-2"),
      # float() of an int past the largest float overflows
      pytest.param([10**400], 10**400, f"target_rate must be finite, got {10**400}",
-                  id="rates2-huge-int")],
+                  id="rates2-huge-int"),
+     # a float, but 2**(2 * rate) is not: printed as given, not as float(rate)
+     pytest.param([10**300], 10**300,
+                  f"target_rate must be a value whose 2**(2 * rate) is a float in (0, inf), "
+                  f"got {10**300}", id="rates3-int-past-the-derived-range")],
 )
 def test_compare_refuses_a_rate_that_a_sweep_refuses(monkeypatch, rates, bad, refusal):
     def refuse(*args, **kwargs):
@@ -459,21 +463,25 @@ def test_compare_policies_structure_and_pairing():
 
 @pytest.mark.parametrize("rates", [[0.5, 1.0], [0.7, 1.3]], ids=["with-base", "without-base"])
 def test_compare_policies_runs_one_mrs_grid_and_the_srs_curve(monkeypatch, rates):
-    groups = []
+    """One job of N * R' + R configs: the mrs grid over M = 1..N and the R'
+    grid rates (the base rate appended where the rates lack it), then the
+    srs curve over the R rates."""
+    jobs = []
     estimate_job = harness._estimate_job
 
     def counting_estimate_job(job):
-        groups.append(sorted({(c.policy, c.m, c.target_rate) for c in job[0]}))
+        jobs.append([(c.policy, c.m, c.target_rate) for c in job[0]])
         return estimate_job(job)
 
     monkeypatch.setattr(harness, "_estimate_job", counting_estimate_job)
     base = SimConfig(n_relays=4, eta=0.3, n_slots=300, seed=4)
     report = compare_policies(base, rates=rates)
-    grid_rates = sorted({*rates, 1.0})
-    assert groups == [
-        [("mrs", m, r) for m in range(1, 5) for r in grid_rates],
-        [("srs", None, r) for r in rates],
+    grid_rates = rates if 1.0 in rates else [*rates, 1.0]
+    assert jobs == [
+        [("mrs", m, r) for m in range(1, 5) for r in grid_rates]
+        + [("srs", None, r) for r in rates]
     ]
+    assert len(jobs[0]) == 4 * len(grid_rates) + len(rates)
     assert report.rates == rates  # the base-rate column is not emitted
     assert all(len(curve) == 2 for curve in (report.srs, report.mrs_single, report.mrs_star))
 
